@@ -8,13 +8,11 @@ from .arith import (
     SpfSieve,
     build_spf_sieve,
     factorize,
-    load_sieve_cache,
     mobius,
     primes_up_to,
     r4,
     r4_star,
-    save_sieve_cache,
-    square_divisor_pairs,
+    square_divisor_weights,
 )
 from .asymptotics import (
     NSTAR_VARIANTS,
@@ -41,7 +39,6 @@ from .counting import (
     n_u,
     partition_witness,
     s_exact,
-    shutdown_workers,
     t_exact,
     telescoping_check,
 )
@@ -57,7 +54,6 @@ from .dirichlet import (
     zeta_star,
 )
 from .errors import (
-    CacheFormatError,
     DomainError,
     ResourceError,
     UnstableDifferentiationError,

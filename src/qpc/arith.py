@@ -13,20 +13,15 @@ loop at O(log n) per integer.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import CacheFormatError, ResourceError
+from .errors import ResourceError
 
 DEFAULT_SIEVE_LIMIT = 10**7
 # SPF entries are 4 bytes each; the budget caps sieve allocations.
 DEFAULT_MEMORY_BUDGET = 1 << 29
-
-_CACHE_MAGIC = b"SQ4C"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class SpfSieve:
 
     spf is a uint32 numpy array of length limit+1 with spf[i] the smallest
     prime factor of i for 2 <= i <= limit (spf[p] == p exactly for primes).
-    Immutable after construction; safe to share across worker processes.
+    Immutable after construction.
     """
 
     __slots__ = ("limit", "spf")
@@ -188,32 +183,26 @@ def mobius(n: FactoredInteger) -> int:
     return -1 if len(n.factors) % 2 else 1
 
 
-def square_divisor_pairs(
-    n: FactoredInteger,
-) -> Iterator[tuple[int, FactoredInteger]]:
-    """Yield (m, d) for every divisor m of n^2, with d = n^4/m^2 factored.
+def square_divisor_weights(factors) -> list[tuple[int, int]]:
+    """(q, r4*(q^2)) for every divisor q of n^2, in no particular order,
+    where factors are the (p, a) pairs of n, as in FactoredInteger.factors
+    or SpfSieve.factor_list(n).
 
-    These are exactly the divisors d of n^4 whose cofactor n^4/d is a
-    square, reparametrized so only tau(n^2) pairs are enumerated instead
-    of tau(n^4) divisors filtered by a square test.
+    The q^2 are exactly the divisors d of n^4 whose cofactor n^4/d is a
+    square, so only tau(n^2) pairs are enumerated instead of tau(n^4)
+    divisors filtered by a square test.  Both entries are built
+    multiplicatively, one prime power p^b (0 <= b <= 2a) at a time.
     """
-    primes = [p for p, _ in n.factors]
-    exps = [a for _, a in n.factors]
-
-    def rec(i: int, m: int, d_factors: list[tuple[int, int]]):
-        if i == len(primes):
-            d_val = 1
-            for p, e in d_factors:
-                d_val *= p**e
-            yield m, FactoredInteger(d_val, tuple(f for f in d_factors if f[1] > 0))
-            return
-        p, a = primes[i], exps[i]
-        pk = 1
-        for b in range(2 * a + 1):
-            yield from rec(i + 1, m * pk, d_factors + [(p, 4 * a - 2 * b)])
-            pk *= p
-
-    yield from rec(0, 1, [])
+    pairs = [(1, 1)]
+    for p, a in factors:
+        powers = [(1, 1)]
+        pb = 1
+        for _ in range(2 * a):
+            pb *= p
+            # r4*(p^(2b)) as in r4_star: 3 for p = 2, else (p^(2b+1) - 1)/(p - 1)
+            powers.append((pb, 3 if p == 2 else (pb * pb * p - 1) // (p - 1)))
+        pairs = [(q * pb, w * wb) for pb, wb in powers for q, w in pairs]
+    return pairs
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -226,44 +215,3 @@ def primes_up_to(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-def save_sieve_cache(sieve: SpfSieve, path) -> None:
-    """Write the sieve in the cache format: magic, version u32, limit u64, entries u32, all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", _CACHE_VERSION))
-        fh.write(struct.pack("<Q", sieve.limit))
-        fh.write(sieve.spf.astype("<u4").tobytes())
-
-
-def load_sieve_cache(path, min_limit: int = 2) -> SpfSieve:
-    """Load and validate a sieve cache file.
-
-    Raises CacheFormatError on bad magic/version/limit or truncated data,
-    and when the cached limit is below min_limit.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CACHE_VERSION:
-            raise CacheFormatError(f"unsupported cache version {version}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
-        if limit < 2:
-            raise CacheFormatError(f"invalid cached limit {limit}")
-        data = fh.read()
-    spf = np.frombuffer(data, dtype="<u4")
-    if spf.size != limit + 1:
-        raise CacheFormatError(
-            f"cache holds {spf.size} entries, expected {limit + 1}"
-        )
-    if limit < min_limit:
-        raise CacheFormatError(f"cached limit {limit} below required {min_limit}")
-    spf = spf.astype(np.uint32)
-    # spot validation: spf[2] must be 2 and entries never exceed their index
-    if int(spf[2]) != 2:
-        raise CacheFormatError("cache failed validation at entry 2")
-    spf.setflags(write=False)
-    return SpfSieve(int(limit), spf)

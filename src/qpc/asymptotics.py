@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import SpfSieve, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
-from .dirichlet import g_value, zeta, zeta_star
+from .dirichlet import _g_value, zeta, zeta_star
 from .errors import DomainError, UnstableDifferentiationError
 
 RESIDUE_JACOBIAN = 0.25
@@ -161,10 +161,11 @@ def euler_product_C4(
     return value, tail_bound
 
 
-def _h(s: float, prime_limit: int) -> float:
+def _h(s: float, prime_limit: int, ps: np.ndarray) -> float:
     """16 (s-1)^2 zeta(s) zeta((s+1)/2) G(s, (5-s)/4) / ((5-s)(9-s) s (s+1)),
-    written through (sigma-1) zeta(sigma) so s = 1 is a regular point."""
-    g = g_value(s, (5.0 - s) / 4.0, prime_limit)[0]
+    written through (sigma-1) zeta(sigma) so s = 1 is a regular point;
+    ps holds the primes up to prime_limit."""
+    g = _g_value(s, (5.0 - s) / 4.0, prime_limit, ps)[0]
     return (
         32.0
         * zeta_star(s)
@@ -185,12 +186,13 @@ def p_coefficients(
     """
     if prime_limit < 10**3:
         raise ValueError("prime_limit must be >= 1000 for stable coefficients")
-    g11, g11_tail = g_value(1.0, 1.0, prime_limit)
+    ps = primes_up_to(prime_limit)
+    g11, g11_tail = _g_value(1.0, 1.0, prime_limit, ps)
     c1 = g11 / 2.0
     c1_error = g11_tail / 2.0 + 1e-12
 
     def central(eps: float) -> float:
-        return (_h(1.0 + eps, prime_limit) - _h(1.0 - eps, prime_limit)) / (2.0 * eps)
+        return (_h(1.0 + eps, prime_limit, ps) - _h(1.0 - eps, prime_limit, ps)) / (2.0 * eps)
 
     richardson = []
     for eps in (1e-3, 1e-4):
@@ -283,7 +285,6 @@ def convergence_table(
     bounds,
     sieve: SpfSieve,
     P: ResiduePolynomial,
-    workers: int = 1,
     variant: str = "chain",
     residue_scale: float = RESIDUE_JACOBIAN,
 ) -> list[CountRecord]:
@@ -301,13 +302,13 @@ def convergence_table(
     for B in bounds:
         start = time.perf_counter()
         if kind == "S":
-            exact = s_exact(B, B * B, sieve, workers)
+            exact = s_exact(B, B * B, sieve)
         elif kind == "T":
-            exact = t_exact(B, sieve, workers)
+            exact = t_exact(B, sieve)
         elif kind == "N_star":
-            exact = n_star(B, sieve, workers)
+            exact = n_star(B, sieve)
         else:
-            exact = n_u(B, sieve, workers)
+            exact = n_u(B, sieve)
         elapsed = time.perf_counter() - start
 
         predicted = None

@@ -8,13 +8,12 @@ exits with 0 on success, 1 on invalid arguments, 2 on resource errors,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
 
 from . import arith, asymptotics, counting, dirichlet
-from .errors import CacheFormatError, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -27,17 +26,13 @@ CSV_HEADER = "kind,bound,exact,predicted,ratio,seconds"
 @dataclass
 class RunConfig:
     sieve_limit: int = arith.DEFAULT_SIEVE_LIMIT
-    threads: int = 0  # 0: resolve from QPC_THREADS or cpu count
     format: str = "csv"
-    cache_path: str | None = None
     prime_limit: int = 10**6
     tolerance: float = 1e-8
     variant: str = "chain"
     timing: bool = True
 
     def __post_init__(self):
-        if self.threads <= 0:
-            self.threads = counting.default_workers()
         if self.sieve_limit < 2 or self.prime_limit < 1:
             raise ValueError("limits must be positive")
         if self.format not in ("csv", "json"):
@@ -89,18 +84,6 @@ def _sieve_for(cfg: RunConfig, needed: int) -> arith.SpfSieve:
         raise ResourceError(
             f"bound {needed} exceeds configured sieve limit {cfg.sieve_limit}"
         )
-    if cfg.cache_path:
-        if os.path.exists(cfg.cache_path):
-            try:
-                return arith.load_sieve_cache(cfg.cache_path, min_limit=limit)
-            except (CacheFormatError, OSError) as err:
-                print(f"warning: rebuilding invalid sieve cache: {err}", file=sys.stderr)
-        sieve = arith.build_spf_sieve(limit)
-        try:
-            arith.save_sieve_cache(sieve, cfg.cache_path)
-        except OSError as err:
-            print(f"warning: could not write sieve cache: {err}", file=sys.stderr)
-        return sieve
     return arith.build_spf_sieve(limit)
 
 
@@ -114,9 +97,9 @@ def cmd_count(args, cfg: RunConfig) -> int:
     sieve = _sieve_for(cfg, max(B, 2))
     start = time.perf_counter()
     if args.kind == "star":
-        exact = counting.n_star(B, sieve, cfg.threads)
+        exact = counting.n_star(B, sieve)
     else:
-        exact = counting.n_u(B, sieve, cfg.threads)
+        exact = counting.n_u(B, sieve)
         if args.projective:
             exact //= 2
     elapsed = time.perf_counter() - start
@@ -133,7 +116,7 @@ def cmd_table(args, cfg: RunConfig) -> int:
     sieve = _sieve_for(cfg, max(max(bounds), 2))
     poly = asymptotics.p_coefficients(cfg.prime_limit)
     records = asymptotics.convergence_table(
-        args.kind, bounds, sieve, poly, cfg.threads, cfg.variant
+        args.kind, bounds, sieve, poly, cfg.variant
     )
     _emit_records(records, cfg)
     return EXIT_OK
@@ -170,7 +153,7 @@ def _suite_partition(cfg: RunConfig):
     checks = []
     for B in sample:
         try:
-            counting.partition_witness(B, sieve, cfg.threads)
+            counting.partition_witness(B, sieve)
             ok = True
         except ArithmeticError:
             ok = False
@@ -190,7 +173,7 @@ def _suite_telescope(cfg: RunConfig):
     sieve = _sieve_for(cfg, 1000)
     checks = []
     for B in (10, 100, 1000):
-        rep = counting.telescoping_check(B, sieve, cfg.threads)
+        rep = counting.telescoping_check(B, sieve)
         checks.append(
             (
                 f"telescope B={B}",
@@ -282,10 +265,10 @@ def _bounds_list(text: str) -> list[int]:
 
 def _common(parser: _Parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=0,
+                        help="accepted for compatibility; no effect, counts run in one process")
     parser.add_argument("--sieve-limit", type=int, default=arith.DEFAULT_SIEVE_LIMIT)
     parser.add_argument("--prime-limit", type=int, default=10**6)
-    parser.add_argument("--cache", default=None, metavar="PATH")
     parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument(
         "--no-timing",
@@ -329,13 +312,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "threads", 0) < 0:
-        parser.error("--threads must be >= 1 (0 or unset selects the default)")
+        parser.error("--threads must be >= 0")
     try:
         cfg = RunConfig(
             sieve_limit=args.sieve_limit,
-            threads=args.threads,
             format=args.format,
-            cache_path=args.cache,
             prime_limit=args.prime_limit,
             tolerance=args.tolerance,
             variant=getattr(args, "variant", "chain"),
@@ -362,8 +343,6 @@ def main(argv=None) -> int:
     except (DomainError, ValueError) as err:
         print(f"invalid arguments: {err}", file=sys.stderr)
         return EXIT_INVALID
-    finally:
-        counting.shutdown_workers()
     return EXIT_OK
 
 

@@ -8,28 +8,23 @@ for a divisor m of n^2, so
     T(B)     = sum_{n<=B} sum_{q | n^2, q*B < n^2} r4*(q^2)
     N*(B)/32 = sum_{n<=B} sum_{q | n^2, q <= B, n^2 <= q*B} r4*(q^2)
 
-All bound comparisons are integer cross-multiplications; all accumulators
-are exact (Python integers never wrap).  The n-range is processed in fixed
-chunks by a process pool; partial sums are exact integers, so the reduction
-is order-independent and results are bit-for-bit identical for any worker
-count.
-"""
+All four are evaluated in the swapped order by one kernel: q | n^2 exactly
+when kappa(q) | n, so each q contributes r4*(q^2) times the number of
+multiples of kappa(q) in an n-window.  All bound comparisons are integer
+cross-multiplications; all accumulators are exact (Python integers never
+wrap).  The n-ordered divisor enumeration (arith.square_divisor_weights)
+is the independent oracle that partition_witness checks the kernel against."""
 
 from __future__ import annotations
 
-import atexit
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import RationalBound, SpfSieve
+from .arith import RationalBound, SpfSieve, factorize, mobius, square_divisor_weights
 from .errors import ResourceError
-
-DEFAULT_CHUNK = 65536
 
 BRUTE_STAR_CAP = 60
 BRUTE_PRIMITIVE_CAP = 40
@@ -87,205 +82,80 @@ class TelescopeReport:
 
 
 # ----------------------------------------------------------------------
-# inner loop
+# counting kernel
 # ----------------------------------------------------------------------
 
-_ppw_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
+def _kappa_sum(spf, K: int, Q: int, window) -> int:
+    """Sum of r4*(q^2) * #{n in (lo, hi] : kappa(q) | n} over q <= Q with
+    kappa(q) <= K, where (lo, hi) = window(q).
 
-def _prime_power_weights(p: int, a: int) -> tuple[list[int], list[int]]:
-    """Powers p^b for b in 0..2a, paired with r4*(p^(2b))."""
-    key = (p, a)
-    hit = _ppw_cache.get(key)
-    if hit is not None:
-        return hit
-    pows = [1]
-    wts = [1]
-    pk = 1
-    if p == 2:
-        for _ in range(2 * a):
-            pk *= 2
-            pows.append(pk)
-            wts.append(3)
-    else:
-        for _ in range(2 * a):
-            pk *= p
-            pows.append(pk)
-            # r4*(p^(2b)) = (p^(2b+1) - 1)/(p - 1) with pk = p^b
-            wts.append((pk * pk * p - 1) // (p - 1))
-    _ppw_cache[key] = (pows, wts)
-    return pows, wts
-
-
-def _divisor_sum_in_range(spf, n: int, lo: int, hi: int) -> int:
-    """Sum r4*(q^2) over divisors q of n^2 with lo <= q <= hi."""
-    if hi < lo:
-        return 0
-    m = n
-    qs = [1]
-    ws = [1]
-    full = lo <= 1 and hi >= n * n
-    while m > 1:
-        p = int(spf[m])
-        a = 0
-        while m % p == 0:
-            a += 1
-            m //= p
-        pows, wts = _prime_power_weights(p, a)
-        nq: list[int] = []
-        nw: list[int] = []
-        eq = nq.extend
-        ew = nw.extend
-        for i in range(len(pows)):
-            pk = pows[i]
-            if not full and pk > hi:
-                break
-            wt = wts[i]
-            eq([q * pk for q in qs])
-            ew([w * wt for w in ws])
-        qs = nq
-        ws = nw
-    if full:
-        return sum(ws)
-    return sum(ws[i] for i in range(len(qs)) if lo <= qs[i] <= hi)
-
-
-def _chunk_s(spf, lo_n: int, hi_n: int, qmax: int) -> int:
-    """sum over lo_n <= n < hi_n of sum_{q | n^2, q <= qmax} r4*(q^2)."""
+    This is the (n, q) double sum taken in the swapped order: q | n^2
+    exactly when kappa(q) | n, with kappa(q) = prod p^ceil(a/2) over p^a || q.
+    For each k <= K the q with kappa(q) = k follow from k's factorization:
+    every p^e || k puts p^(2e-1) or p^(2e) into q, and r4*(q^2) is the
+    product of the r4*(p^(2a)).  A q above Q is dropped as soon as it is
+    formed; since q >= kappa(q), no k above Q contributes.
+    """
+    item = spf.item
     total = 0
-    for n in range(lo_n, hi_n):
-        total += _divisor_sum_in_range(spf, n, 1, qmax)
-    return total
-
-
-def _chunk_t(spf, lo_n: int, hi_n: int, B: int) -> int:
-    """T-inner sums: q | n^2 with q*B < n^2, i.e. q <= (n^2-1)//B."""
-    total = 0
-    for n in range(lo_n, hi_n):
-        hi = (n * n - 1) // B
-        if hi >= 1:
-            total += _divisor_sum_in_range(spf, n, 1, hi)
-    return total
-
-
-def _chunk_nstar(spf, lo_n: int, hi_n: int, bn: int, bd: int) -> int:
-    """N*-inner sums at rational bound bn/bd: q*bd <= bn and n^2*bd <= bn*q."""
-    total = 0
-    hi = bn // bd
-    for n in range(lo_n, hi_n):
-        lo = -(-(n * n * bd) // bn)
-        total += _divisor_sum_in_range(spf, n, lo, hi)
-    return total
-
-
-def _chunk_nu(spf, lo_k: int, hi_k: int, bn: int, bd: int) -> int:
-    """Mobius-weighted n_star terms: sum over lo_k <= k < hi_k of mu(k)*N*(bn/(bd*k))/32."""
-    total = 0
-    for k in range(lo_k, hi_k):
-        # mu(k) from the sieve; skip non-squarefree k
+    for k in range(1, min(K, Q) + 1):
+        qs = [1]
+        ws = [1]
         m = k
-        mu = 1
-        while m > 1:
-            p = int(spf[m])
+        while m > 1 and qs:
+            p = item(m)
             m //= p
-            if m % p == 0:
-                mu = 0
-                break
-            mu = -mu
-        if mu == 0:
-            continue
-        den = bd * k
-        n_max = bn // den
-        sub = 0
-        hi = n_max  # q*den <= bn is q <= bn//den = n_max again
-        for n in range(1, n_max + 1):
-            lo = -(-(n * n * den) // bn)
-            sub += _divisor_sum_in_range(spf, n, lo, hi)
-        total += mu * sub
+            pe1 = 1  # p^(e-1)
+            while m % p == 0:
+                m //= p
+                pe1 *= p
+            q_lo = p * pe1 * pe1  # p^(2e-1)
+            if p == 2:
+                w_lo = w_hi = 3
+            else:
+                # r4*(p^(2a)) = (p^(2a+1) - 1)/(p - 1) for a = 2e-1, 2e
+                top = q_lo * q_lo * p
+                w_lo = (top - 1) // (p - 1)
+                w_hi = (top * p * p - 1) // (p - 1)
+            nq = []
+            nw = []
+            for i in range(len(qs)):
+                q = qs[i] * q_lo
+                if q > Q:
+                    continue
+                w = ws[i]
+                nq.append(q)
+                nw.append(w * w_lo)
+                q *= p
+                if q <= Q:
+                    nq.append(q)
+                    nw.append(w * w_hi)
+            qs = nq
+            ws = nw
+        for i in range(len(qs)):
+            lo, hi = window(qs[i])
+            if hi > lo:
+                total += ws[i] * (hi // k - lo // k)
     return total
 
 
-# ----------------------------------------------------------------------
-# worker pool
-# ----------------------------------------------------------------------
-
-_WORKER_SPF = None  # inherited by forked workers
-
-_pool = None
-_pool_key: tuple[int, int] | None = None
-# strong reference keeps id(sieve) stable while the keyed pool lives
-_pool_sieve_ref: SpfSieve | None = None
-
-_CHUNK_FUNCS = {
-    "s": _chunk_s,
-    "t": _chunk_t,
-    "nstar": _chunk_nstar,
-    "nu": _chunk_nu,
-}
+def _s_window(spf, a: int, c: int, Q: int) -> int:
+    """S restricted to a < n <= c: the q <= Q with q | n^2."""
+    return _kappa_sum(spf, c, Q, lambda q: (a, c))
 
 
-def _run_task(task):
-    mode, args = task
-    return _CHUNK_FUNCS[mode](_WORKER_SPF, *args)
+def _t_window(spf, a: int, c: int, B: int) -> int:
+    """T(B) restricted to a < n <= c: the q | n^2 with q*B < n^2, i.e.
+    n > isqrt(q*B)."""
+    isqrt = math.isqrt
+    return _kappa_sum(spf, c, B, lambda q: (max(a, isqrt(q * B)), c))
 
 
-def default_workers() -> int:
-    env = os.environ.get("QPC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def shutdown_workers() -> None:
-    """Tear down the cached worker pool (safe to call repeatedly)."""
-    global _pool, _pool_key, _pool_sieve_ref
-    if _pool is not None:
-        _pool.terminate()
-        _pool.join()
-    _pool = None
-    _pool_key = None
-    _pool_sieve_ref = None
-
-
-atexit.register(shutdown_workers)
-
-
-def _get_pool(sieve: SpfSieve, workers: int):
-    """Reuse one fork-based pool per (sieve, workers); the sieve array is
-    inherited copy-on-write, so nothing large is pickled per task."""
-    global _pool, _pool_key, _pool_sieve_ref, _WORKER_SPF
-    key = (id(sieve), workers)
-    if _pool is not None and _pool_key == key:
-        return _pool
-    shutdown_workers()
-    _WORKER_SPF = sieve.spf
-    ctx = multiprocessing.get_context("fork")
-    _pool = ctx.Pool(processes=workers)
-    _pool_key = key
-    _pool_sieve_ref = sieve
-    return _pool
-
-
-def _map_tasks(sieve: SpfSieve, workers: int, tasks: list) -> int:
-    """Exact integer reduction over chunk tasks; deterministic for any worker count."""
-    if workers <= 1 or len(tasks) <= 1:
-        spf = sieve.spf
-        return sum(_CHUNK_FUNCS[mode](spf, *args) for mode, args in tasks)
-    pool = _get_pool(sieve, workers)
-    return sum(pool.map(_run_task, tasks, chunksize=1))
-
-
-def _range_tasks(
-    mode: str, n_lo: int, n_hi: int, extra: tuple, chunk: int, workers: int = 1
-) -> list:
-    if workers > 1:
-        # keep at least ~6 tasks per worker so short ranges still parallelize
-        span = n_hi - n_lo
-        chunk = min(chunk, max(512, span // (6 * workers) + 1))
-    return [
-        (mode, (lo, min(lo + chunk, n_hi), *extra))
-        for lo in range(n_lo, n_hi, chunk)
-    ]
+def _n_star_window(spf, bn: int, bd: int) -> int:
+    """N*(bn/bd)/32: the q | n^2 with q <= bn/bd and n^2 <= q*bn/bd."""
+    isqrt = math.isqrt
+    return _kappa_sum(spf, bn // bd, bn // bd, lambda q: (0, isqrt(q * bn // bd)))
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +180,7 @@ def _check_range(n_max: int, sieve: SpfSieve) -> None:
         )
 
 
-def s_exact(x: int, y, sieve: SpfSieve, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> int:
+def s_exact(x: int, y, sieve: SpfSieve) -> int:
     """S(x, y): sum over n <= x, d | n^4 with d <= y and n^4/d square, of r4*(d).
 
     y may be an int, Fraction, or RationalBound; the divisor condition
@@ -320,23 +190,18 @@ def s_exact(x: int, y, sieve: SpfSieve, workers: int = 1, chunk: int = DEFAULT_C
         return 0
     _check_range(x, sieve)
     ynum, yden = _as_num_den(y)
-    qmax = math.isqrt(ynum // yden)
-    if qmax < 1:
-        return 0
-    tasks = _range_tasks("s", 1, x + 1, (qmax,), chunk, workers)
-    return _map_tasks(sieve, workers, tasks)
+    return _s_window(sieve.spf, 0, x, math.isqrt(ynum // yden))
 
 
-def t_exact(B: int, sieve: SpfSieve, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> int:
+def t_exact(B: int, sieve: SpfSieve) -> int:
     """T(B): sum over n <= B, d | n^4 with d < n^4/B^2 and n^4/d square, of r4*(d)."""
     if B < 1:
         return 0
     _check_range(B, sieve)
-    tasks = _range_tasks("t", 1, B + 1, (B,), chunk, workers)
-    return _map_tasks(sieve, workers, tasks)
+    return _t_window(sieve.spf, 0, B, B)
 
 
-def n_star(bound, sieve: SpfSieve, workers: int = 1, chunk: int = DEFAULT_CHUNK) -> int:
+def n_star(bound, sieve: SpfSieve) -> int:
     """N*(bound): integer tuples (x, y1..y4, z) on x^4 = (y1^2+..+y4^2) z^2
     with 1 <= |x| <= bound, 1 <= sum y_i^2 <= bound^2, |z| <= bound.
 
@@ -348,40 +213,44 @@ def n_star(bound, sieve: SpfSieve, workers: int = 1, chunk: int = DEFAULT_CHUNK)
     if n_max < 1:
         return 0
     _check_range(n_max, sieve)
-    tasks = _range_tasks("nstar", 1, n_max + 1, (bn, bd), chunk, workers)
-    return SIGN_FACTOR * _map_tasks(sieve, workers, tasks)
+    return SIGN_FACTOR * _n_star_window(sieve.spf, bn, bd)
 
 
-def n_u(B, sieve: SpfSieve, workers: int = 1, k_chunk: int = 512) -> int:
+def n_u(B, sieve: SpfSieve) -> int:
     """N_U(B): primitive tuples (gcd of all six coordinates = 1) of height <= B.
 
-    Computed by Mobius inversion: sum_{k <= B} mu(k) N*(B/k).  Parallelism
-    is over blocks of k; each term runs the same exact inner loops as n_star.
+    Computed by Mobius inversion: sum_{j <= B} mu(j) N*(B/j), each term
+    at its exact rational bound.
     """
     bn, bd = _as_num_den(B)
-    k_max = bn // bd
-    if k_max < 1:
+    j_max = bn // bd
+    if j_max < 1:
         return 0
-    _check_range(k_max, sieve)
-    # small k carry nearly all the work: dispatch them as single tasks,
-    # then sweep the long tail in blocks
-    head_end = min(k_max, 64)
-    tasks = [("nu", (k, k + 1, bn, bd)) for k in range(1, head_end + 1)]
-    lo = head_end + 1
-    while lo <= k_max:
-        hi = min(lo + k_chunk, k_max + 1)
-        tasks.append(("nu", (lo, hi, bn, bd)))
-        lo = hi
-    return SIGN_FACTOR * _map_tasks(sieve, workers, tasks)
+    _check_range(j_max, sieve)
+    total = 0
+    for j in range(1, j_max + 1):
+        mu = mobius(factorize(j, sieve))
+        if mu:
+            total += mu * _n_star_window(sieve.spf, bn, bd * j)
+    return SIGN_FACTOR * total
 
 
-def partition_witness(B: int, sieve: SpfSieve, workers: int = 1) -> PartitionWitness:
-    """Compute S(B,B^2), T(B), N*(B) independently; constructing the witness
-    verifies N* = 32 (S - T) exactly."""
-    s_val = s_exact(B, B * B, sieve, workers)
-    t_val = t_exact(B, sieve, workers)
-    ns = n_star(B, sieve, workers)
-    return PartitionWitness(B, s_val, t_val, ns)
+def partition_witness(B: int, sieve: SpfSieve) -> PartitionWitness:
+    """S(B,B^2) and T(B) from the counting kernel, N*(B) from the divisors
+    of each n^2 in turn; constructing the witness verifies N* = 32 (S - T).
+
+    The two orders of summation share no code past the sieve, so a kernel
+    that loses or repeats a term breaks the identity.
+    """
+    s_val = s_exact(B, B * B, sieve)
+    t_val = t_exact(B, sieve)
+    ns = 0
+    for n in range(1, B + 1):
+        n2 = n * n
+        for q, w in square_divisor_weights(sieve.factor_list(n)):
+            if q <= B and n2 <= q * B:
+                ns += w
+    return PartitionWitness(B, s_val, t_val, SIGN_FACTOR * ns)
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +407,7 @@ def _telescope_thresholds(B: int, dps: int) -> tuple[int, list[int], list[int]]:
             return k, xs, ys
 
 
-def telescoping_check(B: int, sieve: SpfSieve, workers: int = 1) -> TelescopeReport:
+def telescoping_check(B: int, sieve: SpfSieve) -> TelescopeReport:
     """Verify the geometric-shell partition and lower bound for T(B).
 
     With delta = 1 - 1/log B and k0 minimal with delta^k0 < (log B)^-3:
@@ -564,32 +433,22 @@ def telescoping_check(B: int, sieve: SpfSieve, workers: int = 1) -> TelescopeRep
     else:  # pragma: no cover
         raise ArithmeticError("could not disambiguate delta-power brackets") from last_err
 
-    t_val = t_exact(B, sieve, workers)
+    t_val = t_exact(B, sieve)
+    spf = sieve.spf
 
-    # partition: shells k = 1..k0 plus the remainder below x_{k0}
-    shell_tasks = []
-    for k in range(1, k0 + 1):
-        if xs[k] < xs[k - 1]:
-            shell_tasks.append(("t", (xs[k] + 1, xs[k - 1] + 1, B)))
-    shell_tasks.append(("t", (1, xs[k0] + 1, B)))
-    t_shells = _map_tasks(sieve, workers, shell_tasks)
-    partition_ok = t_shells == t_val
-
-    # lower bound: each S-difference is a single pass over one shell, and
-    # the companion upper-shell sums use the slower-shrinking cutoffs y_{k-1}
-    lower_tasks = []
-    upper_tasks = []
+    # per shell k = 1..k0: its T-window for the partition (plus the remainder
+    # below x_{k0}), its S-window at cutoff y_k for the lower bound, and the
+    # companion upper-shell S-window at the slower-shrinking cutoff y_{k-1}
+    t_shells = _t_window(spf, 0, xs[k0], B)
+    lower = 0
+    upper = 0
     for k in range(1, k0 + 1):
         if xs[k] >= xs[k - 1]:
             continue
-        qmax = math.isqrt(ys[k])
-        if qmax >= 1:
-            lower_tasks.append(("s", (xs[k] + 1, xs[k - 1] + 1, qmax)))
-        qmax_up = math.isqrt(ys[k - 1])
-        if qmax_up >= 1:
-            upper_tasks.append(("s", (xs[k] + 1, xs[k - 1] + 1, qmax_up)))
-    lower = _map_tasks(sieve, workers, lower_tasks)
-    upper = _map_tasks(sieve, workers, upper_tasks)
+        t_shells += _t_window(spf, xs[k], xs[k - 1], B)
+        lower += _s_window(spf, xs[k], xs[k - 1], math.isqrt(ys[k]))
+        upper += _s_window(spf, xs[k], xs[k - 1], math.isqrt(ys[k - 1]))
+    partition_ok = t_shells == t_val
     lower_ok = t_val >= lower
 
     return TelescopeReport(lower_ok, partition_ok, k0, t_val, lower, upper)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import FactoredInteger, build_spf_sieve, primes_up_to, r4_star
+from .arith import FactoredInteger, build_spf_sieve, primes_up_to, r4_star, square_divisor_weights
 from .errors import DomainError
 from .series import RationalFunction, TruncSeries
 
@@ -400,6 +400,12 @@ def g_value(s: float, w: float, prime_limit: int) -> tuple[float, float]:
     Raises DomainError outside min_j(s + 2jw - 2j) >= 1/2 + margin.  The
     product is reduced in a fixed order, so results are reproducible.
     """
+    return _g_value(s, w, prime_limit, primes_up_to(prime_limit))
+
+
+def _g_value(s: float, w: float, prime_limit: int, ps: np.ndarray) -> tuple[float, float]:
+    """g_value with ps = primes_up_to(prime_limit) supplied by the caller, so
+    callers evaluating G at many points sieve the primes once."""
     _check_convergence_domain(s, w)
     value = 1.0
     log_tail = 0.0
@@ -407,7 +413,6 @@ def g_value(s: float, w: float, prime_limit: int) -> tuple[float, float]:
         value *= g_factor_2(s, w)
     else:
         log_tail += abs(math.log(g_factor_2(s, w)))
-    ps = primes_up_to(prime_limit)
     odd = ps[ps > 2]
     if odd.size:
         value *= float(np.prod(g_factor_odd(odd.astype(np.float64), s, w)))
@@ -432,20 +437,8 @@ def global_series_check(s: float, w: float, N: int, prime_limit: int) -> float:
     sieve = build_spf_sieve(max(N, 2))
     terms = []
     for n in range(1, N + 1):
-        # divisors q of n^2 paired with r4*(q^2), built multiplicatively
-        qs = [1]
-        ws = [1]
-        for p, a in sieve.factor_list(n):
-            pk = 1
-            pows = [1]
-            wts = [1]
-            for b in range(1, 2 * a + 1):
-                pk *= p
-                pows.append(pk)
-                wts.append(3 if p == 2 else (pk * pk * p - 1) // (p - 1))
-            qs = [q * pb for pb in pows for q in qs]
-            ws = [wq * wb for wb in wts for wq in ws]
-        inner = [float(q * q) ** (-w) * wq for q, wq in zip(qs, ws)]
+        pairs = square_divisor_weights(sieve.factor_list(n))
+        inner = [float(q * q) ** (-w) * wq for q, wq in pairs]
         terms.append(float(n) ** (-s) * math.fsum(inner))
     lhs = math.fsum(terms)
     e0, e1, e2 = _exponent_triple(s, w)

@@ -19,6 +19,3 @@ class UnstableDifferentiationError(ArithmeticError):
         super().__init__(message)
         self.estimates = estimates
 
-
-class CacheFormatError(ValueError):
-    """A sieve cache file failed validation (bad magic, version, or limit)."""

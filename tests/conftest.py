@@ -1,6 +1,6 @@
 import pytest
 
-from qpc import build_spf_sieve, shutdown_workers
+from qpc import build_spf_sieve
 
 
 @pytest.fixture(scope="session")
@@ -16,12 +16,6 @@ def sieve_mid():
 @pytest.fixture(scope="session")
 def sieve_big():
     return build_spf_sieve(10**6)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _teardown_pool():
-    yield
-    shutdown_workers()
 
 
 def divisors_from_factors(factors):

@@ -43,8 +43,6 @@ from test_counting import naive_inner_terms, naive_s, naive_t
 
 mpmath.mp.dps = 40
 
-WORKERS = 8
-
 
 def report(criterion, ok, detail=""):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}"
@@ -62,7 +60,7 @@ def report(criterion, ok, detail=""):
 @pytest.fixture(scope="module")
 def nstar_1e6_timed(sieve_big):
     start = time.perf_counter()
-    value = n_star(10**6, sieve_big, workers=WORKERS)
+    value = n_star(10**6, sieve_big)
     elapsed = time.perf_counter() - start
     return value, elapsed
 
@@ -80,7 +78,7 @@ def _partition_triple(B):
     global _PARTITION_SIEVE
     if _PARTITION_SIEVE is None:
         _PARTITION_SIEVE = build_spf_sieve(10**4)
-    w = partition_witness(B, _PARTITION_SIEVE, workers=1)
+    w = partition_witness(B, _PARTITION_SIEVE)
     return B, w.s_part, w.t_part, w.n_star
 
 
@@ -107,8 +105,8 @@ def test_criterion_1_oracle_equivalence(sieve_small):
     spots = {1: 32, 2: 128, 3: 544}
     prim_spots = {2: 96, 3: 480}
     for B in range(0, 41):
-        ns = n_star(B, sieve_small, workers=1)
-        nu = n_u(B, sieve_small, workers=1)
+        ns = n_star(B, sieve_small)
+        nu = n_u(B, sieve_small)
         assert ns == brute_force_star(B), f"n_star mismatch at B={B}"
         assert nu == brute_force_primitive(B), f"n_u mismatch at B={B}"
         if B in spots:
@@ -189,20 +187,20 @@ def test_criterion_6_constant_two_routes(poly_1e6):
 
 
 def test_criterion_7a_t_ratio_trend(sieve_mid, poly_1e6):
-    r3 = abs(t_exact(10**3, sieve_mid, WORKERS) / t_main_term(10**3, poly_1e6) - 1)
-    r5 = abs(t_exact(10**5, sieve_mid, WORKERS) / t_main_term(10**5, poly_1e6) - 1)
+    r3 = abs(t_exact(10**3, sieve_mid) / t_main_term(10**3, poly_1e6) - 1)
+    r5 = abs(t_exact(10**5, sieve_mid) / t_main_term(10**5, poly_1e6) - 1)
     report("7a", r5 < r3, f"|ratio-1|: {r3:.4f} at 1e3 -> {r5:.4f} at 1e5")
 
 
 def test_criterion_7b_s_ratio_trend(sieve_small, poly_1e6):
     # along y = x^(5/2)
     r2 = abs(
-        s_exact(10**2, 10**5, sieve_small, WORKERS)
+        s_exact(10**2, 10**5, sieve_small)
         / s_main_term(10**2, 10**5, poly_1e6)
         - 1
     )
     r4 = abs(
-        s_exact(10**4, 10**10, sieve_small, WORKERS)
+        s_exact(10**4, 10**10, sieve_small)
         / s_main_term(10**4, 10**10, poly_1e6)
         - 1
     )
@@ -211,8 +209,8 @@ def test_criterion_7b_s_ratio_trend(sieve_small, poly_1e6):
 
 def test_criterion_7c_mobius_ratio(sieve_small, sieve_big, nstar_1e6_timed):
     inv_zeta3 = 1.0 / zeta(3.0).value
-    ratio_small = n_u(10**3, sieve_small, WORKERS) / n_star(10**3, sieve_small, WORKERS)
-    nu6 = n_u(10**6, sieve_big, WORKERS)
+    ratio_small = n_u(10**3, sieve_small) / n_star(10**3, sieve_small)
+    nu6 = n_u(10**6, sieve_big)
     ratio_big = nu6 / nstar_1e6_timed[0]
     gap_big = abs(ratio_big - inv_zeta3)
     gap_small = abs(ratio_small - inv_zeta3)
@@ -227,7 +225,7 @@ def test_criterion_7c_mobius_ratio(sieve_small, sieve_big, nstar_1e6_timed):
 def test_criterion_7d_lower_sandwich(sieve_small):
     oks = []
     for B in (10**2, 10**3, 10**4):
-        rep = telescoping_check(B, sieve_small, WORKERS)
+        rep = telescoping_check(B, sieve_small)
         oks.append(rep.lower_ok and rep.partition_ok)
     report("7d", all(oks), "exact lower bound at B in {1e2, 1e3, 1e4}")
 
@@ -236,8 +234,8 @@ def test_criterion_8_constant_discrepancy_report(
     sieve_big, nstar_1e6_timed, poly_1e6, capsys
 ):
     counts = {
-        10**4: n_star(10**4, sieve_big, WORKERS),
-        10**5: n_star(10**5, sieve_big, WORKERS),
+        10**4: n_star(10**4, sieve_big),
+        10**5: n_star(10**5, sieve_big),
         10**6: nstar_1e6_timed[0],
     }
     c4 = poly_1e6.c1
@@ -269,11 +267,9 @@ def test_criterion_8_constant_discrepancy_report(
 
 def test_criterion_9_performance(sieve_big, nstar_1e6_timed):
     value, elapsed = nstar_1e6_timed
-    again = n_star(10**6, sieve_big, workers=3)
-    deterministic = value == again
 
-    # independent summation order: swap the (n, q) double sum, counting
-    # multiples of kappa(q) = prod p^ceil(a/2) instead of enumerating m | n^2
+    # oracle: the swapped (n, q) double sum as one plain loop over q, with
+    # r4*(q^2) and kappa(q) = prod p^ceil(a/2) from each q's own factorization
     B = 10**6
     spf = sieve_big.spf
     total = 0
@@ -293,12 +289,12 @@ def test_criterion_9_performance(sieve_big, nstar_1e6_timed):
         total += r4s * (isqrt(q * B) // kappa)
     swap_value = 32 * total
 
-    ok = elapsed < 60 and deterministic and value == swap_value
+    ok = elapsed < 60 and value == swap_value
     report(
         9,
         ok,
-        f"n_star(1e6)={value} in {elapsed:.1f}s on {WORKERS} workers, "
-        f"deterministic={deterministic}, swap-oracle match={value == swap_value}",
+        f"n_star(1e6)={value} in {elapsed:.1f}s, one process, "
+        f"q-loop oracle match={value == swap_value}",
     )
 
 

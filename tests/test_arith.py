@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 
 from qpc import (
-    CacheFormatError,
     FactoredInteger,
     RationalBound,
     ResourceError,
     build_spf_sieve,
     factorize,
-    load_sieve_cache,
     mobius,
     primes_up_to,
     r4,
     r4_star,
-    save_sieve_cache,
-    square_divisor_pairs,
+    square_divisor_weights,
 )
 from conftest import divisors_from_factors, r4_star_divisor_oracle
 
@@ -182,21 +179,21 @@ class TestMobius:
 
 class TestSquareDivisorPairs:
     def test_unit(self, sieve_small):
-        assert [(m, d.value) for m, d in square_divisor_pairs(factorize(1, sieve_small))] == [(1, 1)]
+        assert square_divisor_weights(factorize(1, sieve_small).factors) == [(1, 1)]
 
     def test_two(self, sieve_small):
-        pairs = sorted((m, d.value) for m, d in square_divisor_pairs(factorize(2, sieve_small)))
-        assert pairs == [(1, 16), (2, 4), (4, 1)]
+        pairs = sorted(square_divisor_weights(factorize(2, sieve_small).factors))
+        assert pairs == [(1, 1), (2, 3), (4, 3)]
 
     def test_pair_count_six(self, sieve_small):
-        assert len(list(square_divisor_pairs(factorize(6, sieve_small)))) == 9  # tau(36)
+        assert len(square_divisor_weights(factorize(6, sieve_small).factors)) == 9  # tau(36)
 
     def test_reparametrization(self, sieve_small):
-        # {n^4/m^2 : m | n^2} equals {d : d | n^4, n^4/d square}, for all n <= 1e4
+        # {q^2 : q | n^2} equals {d : d | n^4, n^4/d square}, for all n <= 1e4
         ns = range(1, 10**4 + 1)
         for n in ns:
             fac = factorize(n, sieve_small)
-            via_pairs = sorted(d.value for _, d in square_divisor_pairs(fac))
+            via_pairs = sorted(q * q for q, _ in square_divisor_weights(fac.factors))
             n4 = n**4
             fac4 = [(p, 4 * a) for p, a in fac.factors]
             direct = sorted(
@@ -207,9 +204,20 @@ class TestSquareDivisorPairs:
             assert via_pairs == direct, n
 
     def test_factored_d_is_consistent(self, sieve_small):
+        # d = q^2 has the square cofactor (n^2/q)^2, and the weight is r4*(d)
+        # by the literal divisor sum
         for n in (12, 90, 97):
-            for m, d in square_divisor_pairs(factorize(n, sieve_small)):
-                assert m * m * d.value == n**4
+            fac = factorize(n, sieve_small)
+            for q, w in square_divisor_weights(fac.factors):
+                assert (n * n // q) ** 2 * q * q == n**4
+                d_factors = []
+                for p, _ in fac.factors:
+                    e = 0
+                    while q % p**(e + 1) == 0:
+                        e += 1
+                    if e:
+                        d_factors.append((p, 2 * e))
+                assert w == r4_star_divisor_oracle(d_factors), (n, q)
 
 
 class TestRationalBound:
@@ -243,48 +251,6 @@ class TestPrimesUpTo:
 
     def test_counts(self):
         assert len(primes_up_to(10**4)) == 1229
-
-
-class TestSieveCache:
-    def test_round_trip(self, tmp_path):
-        s = build_spf_sieve(5000)
-        path = tmp_path / "sieve.sq4c"
-        save_sieve_cache(s, path)
-        loaded = load_sieve_cache(path)
-        assert loaded.limit == 5000
-        assert np.array_equal(loaded.spf, s.spf)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sq4c"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(CacheFormatError):
-            load_sieve_cache(path)
-
-    def test_truncated(self, tmp_path):
-        s = build_spf_sieve(100)
-        path = tmp_path / "trunc.sq4c"
-        save_sieve_cache(s, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(CacheFormatError):
-            load_sieve_cache(path)
-
-    def test_limit_validation(self, tmp_path):
-        s = build_spf_sieve(100)
-        path = tmp_path / "small.sq4c"
-        save_sieve_cache(s, path)
-        with pytest.raises(CacheFormatError):
-            load_sieve_cache(path, min_limit=1000)
-
-    def test_header_layout(self, tmp_path):
-        s = build_spf_sieve(100)
-        path = tmp_path / "layout.sq4c"
-        save_sieve_cache(s, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"SQ4C"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:16], "little") == 100
-        assert len(raw) == 16 + 4 * 101
 
 
 def test_r4_star_promotes_past_machine_words():

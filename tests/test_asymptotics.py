@@ -17,6 +17,7 @@ from qpc import (
     n_u_main_term,
     p_coefficients,
     prime_zeta,
+    primes_up_to,
     s_main_term,
     t_exact,
     t_main_term,
@@ -94,15 +95,19 @@ class TestPCoefficients:
         assert abs(poly.c1 - value) < 1e-6
 
     def test_h_regular_through_one(self):
-        hplus = _h(1.0 + 1e-3, 10**4)
-        hminus = _h(1.0 - 1e-3, 10**4)
+        ps = primes_up_to(10**4)
+        hplus = _h(1.0 + 1e-3, 10**4, ps)
+        hminus = _h(1.0 - 1e-3, 10**4, ps)
         assert math.isfinite(hplus) and math.isfinite(hminus)
         assert abs(hplus - hminus) < 1e-3
 
     def test_c0_stable_across_steps(self):
         # 3 significant digits between step scales is the documented bar
-        def central(eps, P=10**5):
-            return (_h(1.0 + eps, P) - _h(1.0 - eps, P)) / (2 * eps)
+        P = 10**5
+        ps = primes_up_to(P)
+
+        def central(eps):
+            return (_h(1.0 + eps, P, ps) - _h(1.0 - eps, P, ps)) / (2 * eps)
 
         r3 = (4 * central(5e-4) - central(1e-3)) / 3
         r4 = (4 * central(5e-5) - central(1e-4)) / 3
@@ -232,12 +237,12 @@ class TestConvergenceTable:
         poly = p_coefficients(10**5)
         ratios = []
         for B in (10**3, 10**4, 10**5):
-            ratios.append(t_exact(B, sieve_mid, workers=2) / t_main_term(B, poly))
+            ratios.append(t_exact(B, sieve_mid) / t_main_term(B, poly))
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
 
 def test_s_ratio_band_at_spec_point(sieve_small, poly):
-    exact = s_exact(10**4, 10**10, sieve_small, workers=2)
+    exact = s_exact(10**4, 10**10, sieve_small)
     ratio = exact / s_main_term(10**4, 10**10, poly)
     assert 0.5 < ratio < 1.5
 
@@ -251,7 +256,7 @@ def test_p_coefficients_instability_is_reported():
 
 
 def test_convergence_table_n_u_kind(sieve_small, poly):
-    recs = convergence_table("N_u", [40], sieve_small, poly, workers=2)
+    recs = convergence_table("N_u", [40], sieve_small, poly)
     from qpc import n_u
 
     assert recs[0].exact_count == n_u(40, sieve_small)

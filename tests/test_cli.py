@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from qpc import cli, counting
+
 QPC = [sys.executable, "-m", "qpc.cli"]
 
 
@@ -61,6 +63,7 @@ class TestCount:
     def test_invalid_args_exit_1(self):
         assert run_cli("count", "--kind", "star").returncode == 1
         assert run_cli("count", "--kind", "wat", "--B", "3").returncode == 1
+        assert run_cli("count", "--kind", "star", "--B", "3", "--threads", "-1").returncode == 1
 
 
 class TestTable:
@@ -178,24 +181,6 @@ class TestGolden:
         assert len(mantissa) >= 16
 
 
-class TestSieveCacheFlag:
-    def test_cache_created_and_reused(self, tmp_path):
-        cache = tmp_path / "sieve.sq4c"
-        res1 = run_cli("count", "--kind", "star", "--B", "100", "--cache", str(cache), "--no-timing")
-        assert res1.returncode == 0 and cache.exists()
-        res2 = run_cli("count", "--kind", "star", "--B", "100", "--cache", str(cache), "--no-timing")
-        assert res2.returncode == 0
-        assert res1.stdout == res2.stdout
-
-    def test_invalid_cache_rebuilt_with_warning(self, tmp_path):
-        cache = tmp_path / "sieve.sq4c"
-        cache.write_bytes(b"garbage")
-        res = run_cli("count", "--kind", "star", "--B", "100", "--cache", str(cache), "--no-timing")
-        assert res.returncode == 0
-        assert "warning" in res.stderr.lower()
-        assert res.stdout.splitlines()[1].startswith("star,100,")
-
-
 class TestVerifySuitesEndToEnd:
     def test_oracle_suite(self):
         res = run_cli("verify", "--suite", "oracle")
@@ -216,3 +201,13 @@ class TestVerifySuitesEndToEnd:
         res = run_cli("verify", "--suite", "global")
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 2
+
+    def test_partition_suite_fails_on_a_kernel_that_loses_a_term(self, monkeypatch, capsys):
+        # the witness takes N* from the n-ordered divisor enumeration, so a
+        # kernel that skips its last k breaks N* = 32 (S - T)
+        kernel = counting._kappa_sum
+        monkeypatch.setattr(
+            counting, "_kappa_sum", lambda spf, K, Q, window: kernel(spf, K - 1, Q, window)
+        )
+        assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_CHECK_FAILED
+        assert "FAIL partition" in capsys.readouterr().out

@@ -10,13 +10,16 @@ from qpc import (
     brute_force_primitive,
     brute_force_star,
     factorize,
+    mobius,
     n_star,
     n_u,
     partition_witness,
     s_exact,
+    square_divisor_weights,
     t_exact,
     telescoping_check,
 )
+from qpc import counting
 from qpc.counting import PartitionWitness
 from conftest import divisors_from_factors, r4_star_divisor_oracle
 
@@ -167,12 +170,6 @@ class TestNStar:
         vals = [n_star(B, sieve_small) for B in range(0, 60)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-    def test_workers_deterministic(self, sieve_small):
-        v1 = n_star(5000, sieve_small, workers=1)
-        v2 = n_star(5000, sieve_small, workers=2)
-        v3 = n_star(5000, sieve_small, workers=5)
-        assert v1 == v2 == v3
-
 
 class TestNU:
     def test_spec_values(self, sieve_small):
@@ -185,9 +182,6 @@ class TestNU:
         for B in range(1, 41):
             total = sum(n_u(RationalBound(B, k), sieve_small) for k in range(1, B + 1))
             assert total == n_star(B, sieve_small), B
-
-    def test_workers_deterministic(self, sieve_small):
-        assert n_u(800, sieve_small, workers=1) == n_u(800, sieve_small, workers=3)
 
 
 class TestBruteForceOracles:
@@ -263,17 +257,57 @@ class TestTelescoping:
             assert c_witness < 50.0
 
 
-class TestDeterminismAcrossWorkers:
-    def test_s_and_t_bitwise_equal(self, sieve_small):
-        assert s_exact(4000, 4000**2, sieve_small, workers=1) == s_exact(
-            4000, 4000**2, sieve_small, workers=3
-        )
-        assert t_exact(4000, sieve_small, workers=1) == t_exact(
-            4000, sieve_small, workers=4
-        )
+# ----------------------------------------------------------------------
+# the counting kernel against the n-ordered divisor enumeration
+# ----------------------------------------------------------------------
 
 
-def test_telescoping_deterministic_across_workers(sieve_small):
-    assert telescoping_check(200, sieve_small, workers=1) == telescoping_check(
-        200, sieve_small, workers=3
+@pytest.fixture(scope="module")
+def divisor_terms(sieve_small):
+    """(q, r4*(q^2)) over q | n^2, for every n <= 2000."""
+    return {n: square_divisor_weights(factorize(n, sieve_small).factors) for n in range(1, 2001)}
+
+
+def oracle_s(a, c, y, terms):
+    """S restricted to a < n <= c: q | n^2 with q^2 <= y."""
+    return sum(w for n in range(a + 1, c + 1) for q, w in terms[n] if q * q <= y)
+
+
+def oracle_t(a, c, B, terms):
+    """T(B) restricted to a < n <= c: q | n^2 with q*B < n^2."""
+    return sum(w for n in range(a + 1, c + 1) for q, w in terms[n] if q * B < n * n)
+
+
+def oracle_n_star(b, terms):
+    """N*(b) for rational b: q | n^2 with q <= b and n^2 <= q*b."""
+    return 32 * sum(
+        w for n in range(1, math.floor(b) + 1) for q, w in terms[n] if q <= b and n * n <= q * b
     )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_matches_n_ordered_oracle(seed, sieve_small, divisor_terms):
+    rng = random.Random(seed)
+    spf = sieve_small.spf
+    for _ in range(3):
+        x = rng.randint(1, 2000)
+        for y in (rng.randint(1, x**4), Fraction(rng.randint(1, x**4), rng.randint(2, 99))):
+            assert s_exact(x, y, sieve_small) == oracle_s(0, x, y, divisor_terms), (x, y)
+    for _ in range(3):
+        b = Fraction(rng.randint(1, 2000), rng.randint(1, 9))
+        assert n_star(b, sieve_small) == oracle_n_star(b, divisor_terms), b
+    b = Fraction(rng.randint(1, 300), rng.randint(1, 3))
+    nu = sum(
+        mobius(factorize(j, sieve_small)) * oracle_n_star(b / j, divisor_terms)
+        for j in range(1, math.floor(b) + 1)
+    )
+    assert n_u(b, sieve_small) == nu, b
+    for _ in range(3):
+        c = rng.randint(1, 2000)
+        a = rng.randint(0, c)
+        B = rng.randint(c, 2000)
+        y = rng.randint(1, c**4)
+        assert counting._t_window(spf, a, c, B) == oracle_t(a, c, B, divisor_terms), (a, c, B)
+        assert counting._s_window(spf, a, c, math.isqrt(y)) == oracle_s(
+            a, c, y, divisor_terms
+        ), (a, c, y)

@@ -4,7 +4,6 @@ the quartic hypersurface x^4 = (y1^2 + y2^2 + y3^2 + y4^2) z^2."""
 from .arith import (
     DEFAULT_SIEVE_LIMIT,
     FactoredInteger,
-    RationalBound,
     SpfSieve,
     build_spf_sieve,
     factorize,
@@ -17,11 +16,9 @@ from .arith import (
 from .asymptotics import (
     NSTAR_VARIANTS,
     RESIDUE_JACOBIAN,
-    MainTermModel,
     ResiduePolynomial,
     convergence_table,
     euler_product_C4,
-    main_term_model,
     n_star_main_term,
     n_u_main_term,
     p_coefficients,

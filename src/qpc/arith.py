@@ -52,46 +52,6 @@ class FactoredInteger:
             raise ValueError(f"factors {self.factors} do not multiply to {self.value}")
 
 
-@dataclass(frozen=True)
-class RationalBound:
-    """An exact non-negative rational bound num/den, kept in reduced form.
-
-    Comparisons against integers are exact integer cross-multiplications,
-    so height cutoffs like m <= B/k never touch floating point.
-    """
-
-    numerator: int
-    denominator: int = 1
-
-    def __post_init__(self):
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        if self.numerator < 0:
-            raise ValueError("numerator must be non-negative")
-        g = math.gcd(self.numerator, self.denominator)
-        if g > 1:
-            object.__setattr__(self, "numerator", self.numerator // g)
-            object.__setattr__(self, "denominator", self.denominator // g)
-
-    def contains(self, m: int) -> bool:
-        """Exact test m <= num/den."""
-        return m * self.denominator <= self.numerator
-
-    def floor(self) -> int:
-        return self.numerator // self.denominator
-
-    def squared(self) -> "RationalBound":
-        return RationalBound(self.numerator**2, self.denominator**2)
-
-    def divided_by(self, k: int) -> "RationalBound":
-        if k <= 0:
-            raise ValueError("divisor must be positive")
-        return RationalBound(self.numerator, self.denominator * k)
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
-
-
 class SpfSieve:
     """Smallest-prime-factor table covering 2..limit.
 
@@ -121,9 +81,6 @@ class SpfSieve:
                 m //= p
             out.append((p, a))
         return out
-
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and int(self.spf[n]) == n
 
 
 def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfSieve:

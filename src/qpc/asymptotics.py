@@ -4,7 +4,7 @@ Two independent numerical routes to the constant C4:
 
   * euler_product_C4: the literal Euler product
         (23/150) zeta(5) prod_p (1 + 1/p + 2/p^2 + 2/p^3 + 1/p^4 + 1/p^5)(1 - 1/p),
-    optionally with a prime-zeta tail correction that pins the limit to
+    with a prime-zeta tail correction that pins the limit to
     ~1e-11 (the local factor simplifies to (1+p^-2)(1-p^-4), so the tail of
     its logarithm is a combination of prime zeta values);
 
@@ -19,8 +19,8 @@ carries the Jacobian 1/(d(s+4w-4)/dw) = 1/4 (and the simple-pole route at
 zeta(s+2w-2) carries 1/2).  The constant chain defined above omits that
 Jacobian, so predicted main terms apply RESIDUE_JACOBIAN = 1/4 on top of
 the reported constants; exact counts confirm the corrected normalization
-(ratios drift toward 1, not toward 4).  Pass residue_scale=1.0 to evaluate
-main terms in the uncorrected normalization.
+(ratios drift toward 1, not toward 4).  Divide a main term by
+RESIDUE_JACOBIAN to evaluate it in the uncorrected normalization.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfSieve, primes_up_to
+from .arith import SpfSieve, build_spf_sieve, factorize, mobius, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
 from .dirichlet import _g_value, zeta, zeta_star
 from .errors import DomainError, UnstableDifferentiationError
@@ -47,22 +47,14 @@ NSTAR_VARIANTS = {
 }
 
 
-def _mobius_small(r: int) -> int:
-    m = 1
-    p = 2
-    while p * p <= r:
-        if r % p == 0:
-            r //= p
-            if r % p == 0:
-                return 0
-            m = -m
-        p += 1
-    return -m if r > 1 else m
-
-
 @dataclass(frozen=True)
 class ResiduePolynomial:
-    """P(t) = c1 * t + c0 from the double pole at s = 1, with error estimates."""
+    """P(t) = c1 * t + c0 from the double pole at s = 1, with error estimates.
+
+    c0_error covers only the Richardson spread of h'(1), not the truncation
+    of the Euler product at prime_limit: c0 moves by 1.04e-6 between prime
+    limits 10^5 and 10^6 while each run reports about 1e-9.
+    """
 
     c1: float
     c0: float
@@ -79,39 +71,23 @@ class ResiduePolynomial:
         return self.c1 * t + self.c0
 
 
-@dataclass(frozen=True)
-class MainTermModel:
-    """Constant provenance for one count kind.
-
-    constant_label records which branch produced the B^3 log B constant:
-    'paper-theorem' (192/5) or 'derivation-chain' (256/5); the N_u constant
-    is the N* constant divided by zeta(3) in either branch.
-    """
-
-    kind: str
-    constant: float
-    constant_label: str
-    residue_scale: float = RESIDUE_JACOBIAN
-
-
 def prime_zeta(s: float) -> float:
     """P(s) = sum_p p^-s for s > 1, via sum_r mu(r)/r * log zeta(r s)."""
     if s <= 1.0:
         raise DomainError("prime_zeta requires s > 1")
+    sieve = build_spf_sieve(127)
     total = 0.0
     for r in range(1, 128):
         lz = math.log(zeta(r * s).value)
         if r > 1 and abs(lz) < 1e-19:
             break
-        mu = _mobius_small(r)
+        mu = mobius(factorize(r, sieve))
         if mu:
             total += mu / r * lz
     return total
 
 
-def euler_product_C4(
-    prime_limit: int, tail_compensation: bool = True
-) -> tuple[float, float]:
+def euler_product_C4(prime_limit: int) -> tuple[float, float]:
     """(23/150) zeta(5) times the Euler product over p <= prime_limit of
 
         (1 + 1/p + 2/p^2 + 2/p^3 + 1/p^4 + 1/p^5)(1 - 1/p),
@@ -119,25 +95,17 @@ def euler_product_C4(
     returned with a certified absolute tail bound.
 
     The local factor equals (1 + p^-2)(1 - p^-4) exactly, so
-    log(tail) = sum_{p > P} [log(1 + p^-2) + log(1 - p^-4)]; with
-    tail_compensation the dominant prime-zeta term sum_{p>P} p^-2 is added
-    back, which stabilizes the value to ~1e-11 for any P >= 2 and lets the
-    tail bound certify 8 decimals.  Without compensation the raw partial
-    product is returned with the (much larger) true-tail bound.
+    log(tail) = sum_{p > P} [log(1 + p^-2) + log(1 - p^-4)]; the dominant
+    prime-zeta term sum_{p>P} p^-2 is added back, which stabilizes the value
+    to ~1e-11 for any P >= 2 and lets the tail bound certify 8 decimals.
     """
     if prime_limit < 0:
         raise ValueError("prime_limit must be >= 0")
     z5 = zeta(5.0)
     ps = primes_up_to(prime_limit).astype(np.float64)
-    if ps.size:
-        inv = 1.0 / ps
-        local = (1.0 + inv * (1.0 + inv * (2.0 + inv * (2.0 + inv * (1.0 + inv))))) * (
-            1.0 - inv
-        )
-        partial = float(np.prod(local))
-    else:
-        partial = 1.0
-    value = (23.0 / 150.0) * z5.value * partial
+    inv = 1.0 / ps
+    local = (1.0 + inv * (1.0 + inv * (2.0 + inv * (2.0 + inv * (1.0 + inv))))) * (1.0 - inv)
+    value = (23.0 / 150.0) * z5.value * float(np.prod(local))
 
     zeta4_minus_1 = zeta(4.0).value - 1.0
     if prime_limit >= 2:
@@ -146,18 +114,10 @@ def euler_product_C4(
     else:
         higher_order = 2.0 * zeta4_minus_1
 
-    if tail_compensation:
-        tail_p2 = prime_zeta(2.0) - float(np.sum(1.0 / (ps * ps))) if ps.size else prime_zeta(2.0)
-        value *= math.exp(tail_p2)
-        # residual uncertainty: omitted k >= 2 terms plus an evaluation budget
-        eval_budget = 3e-11
-        tail_bound = abs(value) * math.expm1(higher_order + eval_budget)
-    else:
-        if prime_limit >= 2:
-            log_tail = 1.0 / prime_limit + higher_order
-        else:
-            log_tail = (zeta(2.0).value - 1.0) + higher_order
-        tail_bound = abs(value) * math.expm1(log_tail)
+    value *= math.exp(prime_zeta(2.0) - float(np.sum(1.0 / (ps * ps))))
+    # residual uncertainty: omitted k >= 2 terms plus an evaluation budget
+    eval_budget = 3e-11
+    tail_bound = abs(value) * math.expm1(higher_order + eval_budget)
     return value, tail_bound
 
 
@@ -182,7 +142,8 @@ def p_coefficients(
 
     h'(1) uses Richardson-extrapolated central differences at step sizes
     1e-3 and 1e-4; if the two extrapolations disagree beyond rel_tolerance
-    (relative), the differentiation is reported as unstable.
+    (relative), the differentiation is reported as unstable.  c0_error is
+    their spread plus 1e-9; it does not bound the Euler-product truncation.
     """
     if prime_limit < 10**3:
         raise ValueError("prime_limit must be >= 1000 for stable coefficients")
@@ -216,9 +177,7 @@ def p_coefficients(
 # ----------------------------------------------------------------------
 
 
-def s_main_term(
-    x: float, y: float, P: ResiduePolynomial, residue_scale: float = RESIDUE_JACOBIAN
-) -> float:
+def s_main_term(x: float, y: float, P: ResiduePolynomial) -> float:
     """Predicted S(x, y) = x y (4 P(psi) + (3/2) P'(psi)), psi = log x - log(y)/4.
 
     Valid in the theorem range 10 <= x <= y <= x^3 (enforced).
@@ -226,51 +185,26 @@ def s_main_term(
     if not (x >= 10 and x <= y <= x**3):
         raise DomainError(f"s_main_term needs 10 <= x <= y <= x^3, got ({x}, {y})")
     psi = math.log(x) - 0.25 * math.log(y)
-    return x * y * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * residue_scale
+    return x * y * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * RESIDUE_JACOBIAN
 
 
-def t_main_term(
-    B: float, P: ResiduePolynomial, residue_scale: float = RESIDUE_JACOBIAN
-) -> float:
+def t_main_term(B: float, P: ResiduePolynomial) -> float:
     """Predicted T(B) = (2/5) c1 B^3 log B (asymptotic regime is B >= 10)."""
     if B <= 1:
         raise DomainError("t_main_term needs B > 1")
-    return 0.4 * P.c1 * B**3 * math.log(B) * residue_scale
+    return 0.4 * P.c1 * B**3 * math.log(B) * RESIDUE_JACOBIAN
 
 
-def n_star_main_term(
-    B: float,
-    P: ResiduePolynomial,
-    variant: str = "chain",
-    residue_scale: float = RESIDUE_JACOBIAN,
-) -> float:
+def n_star_main_term(B: float, P: ResiduePolynomial, variant: str = "chain") -> float:
     """Predicted N*(B) = C4star * c1 * B^3 log B for the chosen constant branch."""
     if B <= 1:
         raise DomainError("n_star_main_term needs B > 1")
-    return NSTAR_VARIANTS[variant] * P.c1 * B**3 * math.log(B) * residue_scale
+    return NSTAR_VARIANTS[variant] * P.c1 * B**3 * math.log(B) * RESIDUE_JACOBIAN
 
 
-def n_u_main_term(
-    B: float,
-    P: ResiduePolynomial,
-    variant: str = "chain",
-    residue_scale: float = RESIDUE_JACOBIAN,
-) -> float:
+def n_u_main_term(B: float, P: ResiduePolynomial, variant: str = "chain") -> float:
     """Predicted N_U(B): the N* constant divided by zeta(3)."""
-    return n_star_main_term(B, P, variant, residue_scale) / zeta(3.0).value
-
-
-def main_term_model(kind: str, variant: str = "chain") -> MainTermModel:
-    label = "paper-theorem" if variant == "paper" else "derivation-chain"
-    if kind == "N_star":
-        return MainTermModel(kind, NSTAR_VARIANTS[variant], label)
-    if kind == "N_u":
-        return MainTermModel(kind, NSTAR_VARIANTS[variant] / zeta(3.0).value, label)
-    if kind == "T":
-        return MainTermModel(kind, 0.4, label)
-    if kind == "S":
-        return MainTermModel(kind, 2.0, label)  # S(B, B^2) ~ 2 c1 B^3 log B
-    raise ValueError(f"unknown kind {kind!r}")
+    return n_star_main_term(B, P, variant) / zeta(3.0).value
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +220,6 @@ def convergence_table(
     sieve: SpfSieve,
     P: ResiduePolynomial,
     variant: str = "chain",
-    residue_scale: float = RESIDUE_JACOBIAN,
 ) -> list[CountRecord]:
     """One CountRecord per bound: exact count, predicted main term, ratio, timing.
 
@@ -316,13 +249,13 @@ def convergence_table(
             logB = math.log(B)
             if kind == "S":
                 psi = 0.5 * logB
-                predicted = B**3 * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * residue_scale
+                predicted = B**3 * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * RESIDUE_JACOBIAN
             elif kind == "T":
-                predicted = t_main_term(B, P, residue_scale)
+                predicted = t_main_term(B, P)
             elif kind == "N_star":
-                predicted = n_star_main_term(B, P, variant, residue_scale)
+                predicted = n_star_main_term(B, P, variant)
             else:
-                predicted = n_u_main_term(B, P, variant, residue_scale)
+                predicted = n_u_main_term(B, P, variant)
         ratio = exact / predicted if predicted and predicted > 0 else None
         records.append(CountRecord(kind, B, exact, predicted, ratio, elapsed))
     return records

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import RationalBound, SpfSieve, factorize, mobius, square_divisor_weights
+from .arith import SpfSieve, factorize, mobius, square_divisor_weights
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -164,8 +164,6 @@ def _n_star_window(spf, bn: int, bd: int) -> int:
 
 
 def _as_num_den(bound) -> tuple[int, int]:
-    if isinstance(bound, RationalBound):
-        return bound.numerator, bound.denominator
     if isinstance(bound, Fraction):
         return bound.numerator, bound.denominator
     if isinstance(bound, int):
@@ -183,7 +181,7 @@ def _check_range(n_max: int, sieve: SpfSieve) -> None:
 def s_exact(x: int, y, sieve: SpfSieve) -> int:
     """S(x, y): sum over n <= x, d | n^4 with d <= y and n^4/d square, of r4*(d).
 
-    y may be an int, Fraction, or RationalBound; the divisor condition
+    y may be an int or a Fraction; the divisor condition
     d = q^2 <= y is evaluated exactly.
     """
     if x < 1:

@@ -6,7 +6,6 @@ import pytest
 
 from qpc import (
     FactoredInteger,
-    RationalBound,
     ResourceError,
     build_spf_sieve,
     factorize,
@@ -218,30 +217,6 @@ class TestSquareDivisorPairs:
                     if e:
                         d_factors.append((p, 2 * e))
                 assert w == r4_star_divisor_oracle(d_factors), (n, q)
-
-
-class TestRationalBound:
-    def test_reduction(self):
-        b = RationalBound(6, 4)
-        assert (b.numerator, b.denominator) == (3, 2)
-
-    def test_exact_comparison(self):
-        b = RationalBound(10, 3)  # 3.333...
-        assert b.contains(3)
-        assert not b.contains(4)
-
-    def test_floor_squared_divide(self):
-        b = RationalBound(7, 2)
-        assert b.floor() == 3
-        assert b.squared().contains(12)  # 49/4 = 12.25
-        assert not b.squared().contains(13)
-        assert b.divided_by(2) == RationalBound(7, 4)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            RationalBound(1, 0)
-        with pytest.raises(ValueError):
-            RationalBound(-1, 2)
 
 
 class TestPrimesUpTo:

@@ -11,7 +11,6 @@ from qpc import (
     ResiduePolynomial,
     convergence_table,
     euler_product_C4,
-    main_term_model,
     n_star,
     n_star_main_term,
     n_u_main_term,
@@ -45,8 +44,9 @@ class TestEulerProductC4:
         assert abs(value - C4_ORACLE) < 1e-9
 
     def test_tail_bound_is_honest(self):
-        value, tail = euler_product_C4(10**6)
-        assert abs(value - C4_ORACLE) <= tail
+        for P in (0, 3, 10**3, 10**4, 10**5, 10**6):
+            value, tail = euler_product_C4(P)
+            assert abs(value - C4_ORACLE) <= tail, P
 
     def test_stability_1e5_vs_1e6(self):
         v5, _ = euler_product_C4(10**5)
@@ -63,20 +63,6 @@ class TestEulerProductC4:
         _, t3 = euler_product_C4(10**3)
         _, t6 = euler_product_C4(10**6)
         assert t3 > t6 > 0
-        _, r3 = euler_product_C4(10**3, tail_compensation=False)
-        _, r6 = euler_product_C4(10**6, tail_compensation=False)
-        assert r3 > r6 > 0
-
-    def test_empty_product_raw(self):
-        # without the tail correction the P = 0 value is (23/150) zeta(5)
-        value, tail = euler_product_C4(0, tail_compensation=False)
-        assert value == pytest.approx(23.0 / 150.0 * zeta(5.0).value, abs=1e-15)
-        assert tail > 0
-
-    def test_raw_bound_covers_truth(self):
-        for P in (10**3, 10**4, 10**5):
-            value, tail = euler_product_C4(P, tail_compensation=False)
-            assert abs(value - C4_ORACLE) <= tail
 
     def test_small_limits_differ(self):
         v2, _ = euler_product_C4(2)
@@ -174,31 +160,10 @@ class TestMainTerms:
     def test_nu_constant_is_nstar_over_zeta3(self):
         B = 120.0
         z3 = zeta(3.0).value
-        assert n_u_main_term(B, self.POLY) == pytest.approx(
-            n_star_main_term(B, self.POLY) / z3
-        )
-
-    def test_uncorrected_scale_available(self):
-        B = 100.0
-        assert t_main_term(B, self.POLY, residue_scale=1.0) == pytest.approx(
-            4.0 * t_main_term(B, self.POLY)
-        )
-
-
-class TestMainTermModel:
-    def test_labels_and_ratio(self):
-        m_paper = main_term_model("N_star", "paper")
-        m_chain = main_term_model("N_star", "chain")
-        assert m_paper.constant_label == "paper-theorem"
-        assert m_chain.constant_label == "derivation-chain"
-        assert m_chain.constant / m_paper.constant == pytest.approx(4.0 / 3.0)
-
-    def test_nu_constant_invariant(self):
-        z3 = zeta(3.0).value
         for variant in ("paper", "chain"):
-            star = main_term_model("N_star", variant)
-            nu = main_term_model("N_u", variant)
-            assert nu.constant == pytest.approx(star.constant / z3)
+            assert n_u_main_term(B, self.POLY, variant) == pytest.approx(
+                n_star_main_term(B, self.POLY, variant) / z3
+            )
 
 
 class TestConvergenceTable:

@@ -172,6 +172,59 @@ class TestGolden:
         assert j1 == j2
         json.loads(j1)
 
+    # Stdout pinned byte for byte, so a refactor that moves the last bit of
+    # any printed float fails here even though it passes the run-vs-run
+    # checks above.  B = 9170 is a bound where psi = 0.5*log(B) and
+    # log(B) - 0.25*log(B*B) differ in the last bit.
+    PINNED = {
+        ("table", "--kind", "S", "--bounds", "10,100,9170", "--prime-limit", "5000",
+         "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "S,10,699,393.21770777366049,1.7776412053201593,0\n"
+            "S,100,795036,650255.00393762498,1.2226526442482601,0\n"
+            "S,9170,955981948762,890350571760.72131,1.0737140841853885,0\n"
+        ),
+        ("table", "--kind", "T", "--bounds", "10,100,9170", "--prime-limit", "5000",
+         "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "T,10,79,51.407459232792881,1.5367419666133937,0\n"
+            "T,100,124184,102814.91846558577,1.2078402808982132,0\n"
+            "T,9170,176949582800,157068501652.82303,1.1265758630022535,0\n"
+        ),
+        ("table", "--kind", "N_star", "--bounds", "10,100,9170", "--prime-limit", "5000",
+         "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "N_star,10,19840,6580.1547817974888,3.0151266433553929,0\n"
+            "N_star,100,21467264,13160309.563594978,1.6312126927002031,0\n"
+            "N_star,9170,24929035710784,20104768211561.348,1.2399563848962174,0\n"
+        ),
+        ("table", "--kind", "N_u", "--bounds", "10,100,9170", "--prime-limit", "5000",
+         "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "N_u,10,17440,5474.0792756995279,3.185923900923294,0\n"
+            "N_u,100,17994976,10948158.551399056,1.6436532148778973,0\n"
+            "N_u,9170,21027432745824,16725304899224.131,1.257222685775937,0\n"
+        ),
+        ("constant", "--prime-limit", "5000"): (
+            "name,value,error_bound\n"
+            "C4,0.22326446640879782,7.8893922595427557e-12\n"
+            "c1_residue_route,0.22325975873468323,4.4656421813034121e-05\n"
+            "c0,0.052458002084189902,1.0129340982368831e-09\n"
+            "C4star_paper,8.5733555100978354,3.029526627664418e-10\n"
+            "C4star_chain,11.431140680130449,4.0393688368858913e-10\n"
+            "C4star_paper_over_zeta3,7.1322376566058212,2.5202855369835974e-10\n"
+            "C4star_chain_over_zeta3,9.5096502088077628,3.3603807159781303e-10\n"
+            "variant_ratio_chain_over_paper,1.3333333333333335,0\n"
+            "residue_jacobian,0.25,0\n"
+        ),
+    }
+
+    def test_stdout_matches_pinned_bytes(self):
+        for args, want in self.PINNED.items():
+            res = run_cli(*args)
+            assert res.returncode == 0, args
+            assert res.stdout == want, args
+
     def test_reals_carry_17_significant_digits(self):
         res = run_cli(
             "table", "--kind", "T", "--bounds", "100", "--prime-limit", "5000", "--no-timing"

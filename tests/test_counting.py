@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qpc import (
-    RationalBound,
     ResourceError,
     brute_force_primitive,
     brute_force_star,
@@ -77,7 +76,7 @@ def naive_terms(sieve_small):
 
 class TestSExact:
     def test_unit_row(self, sieve_small):
-        for y in (1, 5, 10**9, RationalBound(7, 3)):
+        for y in (1, 5, 10**9, Fraction(7, 3)):
             assert s_exact(1, y, sieve_small) == 1
 
     def test_spec_values(self, sieve_small):
@@ -158,13 +157,24 @@ class TestNStar:
 
     def test_degenerate(self, sieve_small):
         assert n_star(0, sieve_small) == 0
-        assert n_star(RationalBound(1, 2), sieve_small) == 0
+        assert n_star(Fraction(1, 2), sieve_small) == 0
 
     def test_rational_bounds(self, sieve_small):
-        assert n_star(RationalBound(3, 2), sieve_small) == 32
+        assert n_star(Fraction(3, 2), sieve_small) == 32
         # hand-checked: at bound 7/2 the admissible (n, q) pairs coincide
         # with those at bound 3, so the count is again 544
-        assert n_star(RationalBound(7, 2), sieve_small) == 544
+        assert n_star(Fraction(7, 2), sieve_small) == 544
+
+    def test_float_bounds_rejected(self, sieve_small):
+        # bounds are int or Fraction only; Fraction(2.5) would silently accept
+        # a float, so the check has to stay explicit
+        with pytest.raises(TypeError):
+            n_star(2.5, sieve_small)
+        with pytest.raises(TypeError):
+            n_u(2.5, sieve_small)
+        with pytest.raises(TypeError):
+            s_exact(3, 2.5, sieve_small)
+        assert n_star(Fraction(7, 2), sieve_small) == 544
 
     def test_monotone(self, sieve_small):
         vals = [n_star(B, sieve_small) for B in range(0, 60)]
@@ -180,7 +190,7 @@ class TestNU:
     def test_scaling_identity(self, sieve_small):
         # N*(B) = sum_{k<=B} N_U(B/k): every tuple is k times a primitive one
         for B in range(1, 41):
-            total = sum(n_u(RationalBound(B, k), sieve_small) for k in range(1, B + 1))
+            total = sum(n_u(Fraction(B, k), sieve_small) for k in range(1, B + 1))
             assert total == n_star(B, sieve_small), B
 
 

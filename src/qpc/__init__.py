@@ -7,7 +7,9 @@ from .arith import (
     SpfSieve,
     build_spf_sieve,
     factorize,
+    mertens_table,
     mobius,
+    mobius_table,
     primes_up_to,
     r4,
     r4_star,

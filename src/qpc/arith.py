@@ -13,6 +13,7 @@ loop at O(log n) per integer.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,45 @@ def mobius(n: FactoredInteger) -> int:
         if a > 1:
             return 0
     return -1 if len(n.factors) % 2 else 1
+
+
+def mobius_table(limit: int) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit as a C-int numpy array, with mu[0] = 0.
+
+    One prime sieve over mu[n] = n: every prime p <= isqrt(limit) divides
+    its multiples by -p and zeroes the multiples of p^2.  A squarefree n is
+    left holding +-(its cofactor above isqrt(limit)), which is 1 or a single
+    prime; the sign counts the small primes, and a prime cofactor flips it
+    once more.  Entries stay within [-limit, limit], and the limit is
+    checked against the 4-byte entry.
+
+    arith.mobius(FactoredInteger) is the per-integer oracle of this table.
+    """
+    if not 1 <= limit < 2**31 - 1:
+        raise ValueError(f"limit must be in [1, 2^31 - 1), got {limit}")
+    mu = np.arange(limit + 1, dtype=np.intc)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        mu[p::p] //= -p
+        mu[p * p :: p * p] = 0
+    prime_cofactor = mu > 1
+    prime_cofactor |= mu < -1
+    np.sign(mu, out=mu)
+    np.negative(mu, out=mu, where=prime_cofactor)
+    return mu
+
+
+def mertens_table(limit: int) -> array:
+    """M(x) = sum_{n <= x} mu(n) for 0 <= x <= limit, as array('i').
+
+    The cumulative sum of mobius_table(limit), kept at 4 bytes per entry:
+    |M(x)| <= x <= limit < 2^31, so the C int cannot overflow.  Indexing
+    the array yields Python ints, so sums over it stay exact.
+    """
+    mu = mobius_table(limit)
+    np.cumsum(mu, out=mu)
+    out = array("i")
+    out.frombytes(memoryview(mu).cast("B"))
+    return out
 
 
 def square_divisor_weights(factors) -> list[tuple[int, int]]:

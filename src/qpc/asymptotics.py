@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfSieve, build_spf_sieve, factorize, mobius, primes_up_to
+from .arith import SpfSieve, mobius_table, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
 from .dirichlet import _g_value, zeta, zeta_star
 from .errors import DomainError, UnstableDifferentiationError
@@ -75,15 +75,14 @@ def prime_zeta(s: float) -> float:
     """P(s) = sum_p p^-s for s > 1, via sum_r mu(r)/r * log zeta(r s)."""
     if s <= 1.0:
         raise DomainError("prime_zeta requires s > 1")
-    sieve = build_spf_sieve(127)
+    mu = mobius_table(127).tolist()
     total = 0.0
     for r in range(1, 128):
         lz = math.log(zeta(r * s).value)
         if r > 1 and abs(lz) < 1e-19:
             break
-        mu = mobius(factorize(r, sieve))
-        if mu:
-            total += mu / r * lz
+        if mu[r]:
+            total += mu[r] / r * lz
     return total
 
 

@@ -285,7 +285,8 @@ def build_parser() -> _Parser:
     p_count.add_argument("--kind", choices=("star", "primitive"), required=True)
     p_count.add_argument("--B", type=int, required=True)
     p_count.add_argument("--projective", action="store_true",
-                         help="report projective points (primitive tuples / 2)")
+                         help="report projective points (primitive tuples / 2); "
+                              "--kind primitive only")
     _common(p_count)
 
     p_table = sub.add_parser("table", help="exact counts vs. predicted main terms")
@@ -325,6 +326,8 @@ def main(argv=None) -> int:
         if args.command == "count":
             if args.B < 0:
                 parser.error("--B must be non-negative")
+            if args.projective and args.kind != "primitive":
+                parser.error("--projective needs --kind primitive")
             return cmd_count(args, cfg)
         if args.command == "table":
             if args.bounds != sorted(args.bounds):

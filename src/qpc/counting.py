@@ -8,12 +8,21 @@ for a divisor m of n^2, so
     T(B)     = sum_{n<=B} sum_{q | n^2, q*B < n^2} r4*(q^2)
     N*(B)/32 = sum_{n<=B} sum_{q | n^2, q <= B, n^2 <= q*B} r4*(q^2)
 
-All four are evaluated in the swapped order by one kernel: q | n^2 exactly
-when kappa(q) | n, so each q contributes r4*(q^2) times the number of
-multiples of kappa(q) in an n-window.  All bound comparisons are integer
-cross-multiplications; all accumulators are exact (Python integers never
-wrap).  The n-ordered divisor enumeration (arith.square_divisor_weights)
-is the independent oracle that partition_witness checks the kernel against."""
+and the primitive count N_U(B) = sum_j mu(j) N*(B/j), with j summed
+innermost, is the Mertens form
+
+    N_U(B)/32 = sum_{q<=B} r4*(q^2) sum_{m>=1} M(min(B//q, q*B//(kappa(q)^2 m^2)))
+
+for M the Mertens function: O(B) work, against O(B log B) for one N* pass
+per squarefree j.
+
+All of them are evaluated in the swapped order by one kernel: q | n^2
+exactly when kappa(q) | n, so each q contributes r4*(q^2) times a count over
+the multiples n = kappa(q)*m (for N_U, the sum of M above).  All bound
+comparisons are integer cross-multiplications; all accumulators are exact
+(Python integers never wrap).  The n-ordered divisor enumeration
+(arith.square_divisor_weights) is the independent oracle that
+partition_witness checks the kernel against."""
 
 from __future__ import annotations
 
@@ -23,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SpfSieve, factorize, mobius, square_divisor_weights
+from .arith import SpfSieve, mertens_table, square_divisor_weights
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -86,12 +95,13 @@ class TelescopeReport:
 # ----------------------------------------------------------------------
 
 
-def _kappa_sum(spf, K: int, Q: int, window) -> int:
-    """Sum of r4*(q^2) * #{n in (lo, hi] : kappa(q) | n} over q <= Q with
-    kappa(q) <= K, where (lo, hi) = window(q).
+def _kappa_sum(spf, K: int, Q: int, count) -> int:
+    """Sum of r4*(q^2) * count(q, kappa(q)) over q <= Q with kappa(q) <= K.
 
     This is the (n, q) double sum taken in the swapped order: q | n^2
-    exactly when kappa(q) | n, with kappa(q) = prod p^ceil(a/2) over p^a || q.
+    exactly when kappa(q) | n, with kappa(q) = prod p^ceil(a/2) over p^a || q,
+    so count(q, k) is the number of admissible multiples n of k = kappa(q)
+    (or, for N_U, a sum of such numbers).
     For each k <= K the q with kappa(q) = k follow from k's factorization:
     every p^e || k puts p^(2e-1) or p^(2e) into q, and r4*(q^2) is the
     product of the r4*(p^(2a)).  A q above Q is dropped as soon as it is
@@ -134,28 +144,31 @@ def _kappa_sum(spf, K: int, Q: int, window) -> int:
             qs = nq
             ws = nw
         for i in range(len(qs)):
-            lo, hi = window(qs[i])
-            if hi > lo:
-                total += ws[i] * (hi // k - lo // k)
+            total += ws[i] * count(qs[i], k)
     return total
 
 
 def _s_window(spf, a: int, c: int, Q: int) -> int:
     """S restricted to a < n <= c: the q <= Q with q | n^2."""
-    return _kappa_sum(spf, c, Q, lambda q: (a, c))
+    return _kappa_sum(spf, c, Q, lambda q, k: c // k - a // k)
 
 
 def _t_window(spf, a: int, c: int, B: int) -> int:
     """T(B) restricted to a < n <= c: the q | n^2 with q*B < n^2, i.e.
     n > isqrt(q*B)."""
     isqrt = math.isqrt
-    return _kappa_sum(spf, c, B, lambda q: (max(a, isqrt(q * B)), c))
+
+    def count(q, k):
+        lo = max(a, isqrt(q * B))
+        return c // k - lo // k if lo < c else 0
+
+    return _kappa_sum(spf, c, B, count)
 
 
 def _n_star_window(spf, bn: int, bd: int) -> int:
     """N*(bn/bd)/32: the q | n^2 with q <= bn/bd and n^2 <= q*bn/bd."""
     isqrt = math.isqrt
-    return _kappa_sum(spf, bn // bd, bn // bd, lambda q: (0, isqrt(q * bn // bd)))
+    return _kappa_sum(spf, bn // bd, bn // bd, lambda q, k: isqrt(q * bn // bd) // k)
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +216,7 @@ def n_star(bound, sieve: SpfSieve) -> int:
     """N*(bound): integer tuples (x, y1..y4, z) on x^4 = (y1^2+..+y4^2) z^2
     with 1 <= |x| <= bound, 1 <= sum y_i^2 <= bound^2, |z| <= bound.
 
-    bound may be rational (used by the Mobius inversion at B/k); returns 0
-    for bound < 1.
+    bound may be an int or a Fraction; returns 0 for bound < 1.
     """
     bn, bd = _as_num_den(bound)
     n_max = bn // bd
@@ -217,20 +229,42 @@ def n_star(bound, sieve: SpfSieve) -> int:
 def n_u(B, sieve: SpfSieve) -> int:
     """N_U(B): primitive tuples (gcd of all six coordinates = 1) of height <= B.
 
-    Computed by Mobius inversion: sum_{j <= B} mu(j) N*(B/j), each term
-    at its exact rational bound.
+    Mobius inversion gives N_U(B) = sum_{j <= B} mu(j) N*(B/j); summed with
+    j innermost it becomes the Mertens form
+
+        N_U(B)/32 = sum_{q<=B} r4*(q^2) sum_{m>=1} M(min(B//q, q*B//(kappa(q)^2 m^2))),
+
+    one kernel pass over q <= B with a table of M(0..B): O(B) work where
+    one N* pass per squarefree j costs O(B log B).  B may be an int or a
+    Fraction; every floor is taken exactly.
     """
     bn, bd = _as_num_den(B)
-    j_max = bn // bd
-    if j_max < 1:
+    n_max = bn // bd
+    if n_max < 1:
         return 0
-    _check_range(j_max, sieve)
-    total = 0
-    for j in range(1, j_max + 1):
-        mu = mobius(factorize(j, sieve))
-        if mu:
-            total += mu * _n_star_window(sieve.spf, bn, bd * j)
-    return SIGN_FACTOR * total
+    _check_range(n_max, sieve)
+    isqrt = math.isqrt
+    mertens = mertens_table(n_max)
+
+    # With k = kappa(q) and c = B//q, the pair (q, n = k*m) lies in N*(B/j)
+    # exactly when j <= c and j <= q*B//(k^2 m^2); the first
+    # m0 = isqrt(q*B//(k^2 c)) values of m are capped at M(c), the rest run
+    # until the floor reaches 0.
+    def count(q, k):
+        c = bn // (bd * q)
+        top = q * bn
+        den = bd * k * k
+        m = isqrt(top // (den * c))
+        total = m * mertens[c]
+        m += 1
+        v = top // (den * m * m)
+        while v:
+            total += mertens[v]
+            m += 1
+            v = top // (den * m * m)
+        return total
+
+    return SIGN_FACTOR * _kappa_sum(sieve.spf, n_max, n_max, count)
 
 
 def partition_witness(B: int, sieve: SpfSieve) -> PartitionWitness:

@@ -214,11 +214,13 @@ def test_criterion_7c_mobius_ratio(sieve_small, sieve_big, nstar_1e6_timed):
     ratio_big = nu6 / nstar_1e6_timed[0]
     gap_big = abs(ratio_big - inv_zeta3)
     gap_small = abs(ratio_small - inv_zeta3)
+    # N_U(10^6) as summed by the Mobius form sum_j mu(j) N*(10^6/j)
+    pinned = nu6 == 38458647686959339872
     report(
         "7c",
-        gap_big < 0.05 and gap_big < gap_small,
+        pinned and gap_big < 0.05 and gap_big < gap_small,
         f"n_u/n_star: {ratio_small:.4f} at 1e3 -> {ratio_big:.4f} at 1e6, "
-        f"1/zeta(3)={inv_zeta3:.4f}",
+        f"1/zeta(3)={inv_zeta3:.4f}, N_U(1e6) pinned: {pinned}",
     )
 
 

@@ -9,7 +9,9 @@ from qpc import (
     ResourceError,
     build_spf_sieve,
     factorize,
+    mertens_table,
     mobius,
+    mobius_table,
     primes_up_to,
     r4,
     r4_star,
@@ -174,6 +176,38 @@ class TestMobius:
                 mobius(factorize(d, sieve_small)) for d in divisors_from_factors(fac.factors)
             )
             assert total == (1 if n == 1 else 0)
+
+
+class TestMobiusTable:
+    def test_matches_per_integer_mobius(self, sieve_small):
+        mu = mobius_table(10**4)
+        assert len(mu) == 10**4 + 1 and mu[0] == 0
+        for n in range(1, 10**4 + 1):
+            assert int(mu[n]) == mobius(factorize(n, sieve_small)), n
+
+    def test_every_limit_agrees_with_the_largest(self):
+        mu = mobius_table(300).tolist()
+        for limit in range(1, 301):
+            assert mobius_table(limit).tolist() == mu[: limit + 1], limit
+
+    def test_mertens_known_values(self):
+        M = mertens_table(10**4)
+        assert M.itemsize == 4 and len(M) == 10**4 + 1
+        assert (M[0], M[1], M[10], M[100], M[1000], M[10**4]) == (0, 1, -1, 1, 2, -23)
+        assert type(M[10]) is int
+
+    def test_mertens_is_cumulative_mu(self):
+        mu = mobius_table(5000).tolist()
+        M = mertens_table(5000)
+        running = 0
+        for x in range(5001):
+            running += mu[x]
+            assert M[x] == running, x
+
+    def test_bad_limits(self):
+        for limit in (0, -1, 2**31 - 1):
+            with pytest.raises(ValueError):
+                mobius_table(limit)
 
 
 class TestSquareDivisorPairs:

@@ -42,6 +42,12 @@ class TestCount:
         res = run_cli("count", "--kind", "primitive", "--B", "2", "--projective", "--no-timing")
         assert res.stdout.splitlines()[1] == "primitive,2,48,,,0"
 
+    def test_projective_rejected_for_star(self):
+        res = run_cli("count", "--kind", "star", "--B", "10", "--projective", "--no-timing")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "--projective" in res.stderr
+
     def test_json_schema(self):
         res = run_cli("count", "--kind", "star", "--B", "3", "--format", "json", "--no-timing")
         rows = json.loads(res.stdout)

@@ -295,6 +295,20 @@ def oracle_n_star(b, terms):
     )
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_n_u_mertens_form_matches_mobius_sum(seed, sieve_small):
+    # the Mertens form against the Mobius sum it is derived from, one N*
+    # pass per j, at integer and rational bounds up to about 5000
+    rng = random.Random(seed)
+    d = rng.randint(2, 10)
+    for b in (rng.randint(1000, 5000), Fraction(rng.randint(1000 * d, 5000 * d), d)):
+        nu = sum(
+            mobius(factorize(j, sieve_small)) * n_star(Fraction(b) / j, sieve_small)
+            for j in range(1, math.floor(b) + 1)
+        )
+        assert n_u(b, sieve_small) == nu, b
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_matches_n_ordered_oracle(seed, sieve_small, divisor_terms):
     rng = random.Random(seed)

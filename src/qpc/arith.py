@@ -6,8 +6,9 @@ two arithmetic primitives defined here:
     r4*(d) = sum of divisors l of d with l not divisible by 4,
 
 so that 8*r4*(d) counts representations of d as a sum of four squares, and
-smallest-prime-factor (SPF) factorization, which keeps the counting hot
-loop at O(log n) per integer.
+smallest-prime-factor (SPF) factorization.  The counts themselves read
+three q-indexed tables, g(q) = r4*(q^2), the squarefree part s(q) of q and
+kappa(q), which a segmented sieve builds block by block (SpfSieve.q_tables).
 """
 
 from __future__ import annotations
@@ -21,8 +22,17 @@ import numpy as np
 from .errors import ResourceError
 
 DEFAULT_SIEVE_LIMIT = 10**7
-# SPF entries are 4 bytes each; the budget caps sieve allocations.
+# SPF entries are 4 bytes each and q-table entries 16 (g as int64, s and
+# kappa as int32); the budget caps both together.
 DEFAULT_MEMORY_BUDGET = 1 << 29
+Q_TABLE_BYTES = 16
+# The q-tables are built, and the counts reduced, Q_BLOCK q at a time, so
+# the temporaries of a pass stay O(Q_BLOCK) whatever its range.
+Q_BLOCK = 1 << 14
+# Below this cap g(q) = r4*(q^2) <= sigma(q^2) < 7 q^2 < 2^55 fits an int64
+# (q^2 < 2^52 has at most 13 distinct primes, so sigma(q^2)/q^2 is below
+# prod_{p <= 41} p/(p-1) < 6.9), and s(q), kappa(q) <= q fit an int32.
+Q_TABLE_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -54,18 +64,23 @@ class FactoredInteger:
 
 
 class SpfSieve:
-    """Smallest-prime-factor table covering 2..limit.
+    """Smallest-prime-factor table covering 2..limit, and the q-tables of the counts.
 
     spf is a uint32 numpy array of length limit+1 with spf[i] the smallest
-    prime factor of i for 2 <= i <= limit (spf[p] == p exactly for primes).
-    Immutable after construction.
+    prime factor of i for 2 <= i <= limit (spf[p] == p exactly for primes);
+    it is immutable after construction.  The q-tables are a cache that
+    q_tables builds on first use and grows; they need not stop at limit.
     """
 
-    __slots__ = ("limit", "spf")
+    __slots__ = ("limit", "spf", "memory_budget", "_g", "_s", "_k")
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, spf: np.ndarray, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.limit = limit
         self.spf = spf
+        self.memory_budget = memory_budget
+        self._g = np.zeros(1, dtype=np.int64)
+        self._s = np.zeros(1, dtype=np.int32)
+        self._k = np.zeros(1, dtype=np.int32)
 
     def factor_list(self, n: int) -> list[tuple[int, int]]:
         """Fast-path factorization as a plain list of (prime, exponent)."""
@@ -83,11 +98,108 @@ class SpfSieve:
             out.append((p, a))
         return out
 
+    def q_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g, s, k) covering at least 0 <= q <= n, as read-only arrays:
+        g[q] = r4*(q^2) as int64, s[q] the squarefree part of q and
+        k[q] = kappa(q) = prod p^ceil(a/2) over p^a || q as int32; with
+        q = s u^2, s squarefree, kappa(q) = s u.  Entry 0 is unused.
+
+        Built on first use and then reused.  A call that needs more grows
+        them to max(n, 2 * current) entries, sieving only the new q, within
+        memory_budget together with spf and below Q_TABLE_CAP.  Raises
+        ResourceError when n itself does not fit.
+        """
+        have = len(self._g) - 1
+        if n <= have:
+            return self._g, self._s, self._k
+        cap = min(Q_TABLE_CAP, (self.memory_budget - self.spf.nbytes) // Q_TABLE_BYTES) - 1
+        if n > cap:
+            raise ResourceError(
+                f"q-tables up to {n} need {Q_TABLE_BYTES * (n + 1)} bytes beside the "
+                f"{self.spf.nbytes}-byte sieve; budget is {self.memory_budget}"
+            )
+        top = max(n, min(2 * have, cap))
+        tables = (
+            np.empty(top + 1, dtype=np.int64),
+            np.empty(top + 1, dtype=np.int32),
+            np.empty(top + 1, dtype=np.int32),
+        )
+        for new, old in zip(tables, (self._g, self._s, self._k)):
+            new[: have + 1] = old
+        plan = _prime_plan(top)
+        for lo in range(have + 1, top + 1, Q_BLOCK):
+            block = slice(lo, min(lo + Q_BLOCK, top + 1))
+            _q_table_block(lo, plan, *(new[block] for new in tables))
+        for new in tables:
+            new.setflags(write=False)
+        self._g, self._s, self._k = tables
+        return tables
+
+
+def _prime_plan(top: int) -> list[tuple[int, np.ndarray, ...]]:
+    """For each prime p <= isqrt(top): p and, indexed by a = 0..log_p(top),
+    int64 arrays of p^a, r4*(p^(2a)), p^(a mod 2) and p^ceil(a/2)."""
+    plan = []
+    for p in primes_up_to(math.isqrt(top)).tolist():
+        amax = 1
+        while p ** (amax + 1) <= top:
+            amax += 1
+        exps = range(amax + 1)
+        # r4*(p^(2a)) as in r4_star: 3 for p = 2 and a >= 1, else (p^(2a+1) - 1)/(p - 1)
+        local = [1] + [3 if p == 2 else (p ** (2 * a + 1) - 1) // (p - 1) for a in exps[1:]]
+        plan.append((
+            p,
+            np.array([p**a for a in exps], dtype=np.int64),
+            np.array(local, dtype=np.int64),
+            np.array([p if a % 2 else 1 for a in exps], dtype=np.int64),
+            np.array([p ** ((a + 1) // 2) for a in exps], dtype=np.int64),
+        ))
+    return plan
+
+
+def _q_table_block(lo: int, plan, g: np.ndarray, s: np.ndarray, k: np.ndarray) -> None:
+    """Fill g, s and k with r4*(q^2), s(q) and kappa(q) for lo <= q < hi =
+    lo + len(g), in place.
+
+    A segmented sieve (Bays & Hudson, BIT 17, 1977) over the primes of
+    plan, which must cover every p <= isqrt(hi - 1): the exponent a of p in
+    each multiple of p in the block is 1 plus one for each power p^k that
+    divides it, counted on the strided slices of the multiples of p^k.  The
+    cofactor left above 1 is a single prime P > isqrt(hi - 1), which puts
+    r4*(P^2) = P^2 + P + 1 into g (3 when P = 2) and P into s and kappa.
+    """
+    hi = lo + len(g)
+    rest = np.arange(lo, hi, dtype=np.int64)
+    for out in (g, s, k):
+        out.fill(1)
+    for p, powers, local, odd, half in plan:
+        first = -(-lo // p) * p
+        # empty when a short trailing block holds no multiple of p
+        a = np.ones((hi - 1 - first) // p + 1, dtype=np.intp)
+        pk = p * p
+        while pk < hi:
+            f = -(-lo // pk) * pk
+            if f >= hi:
+                break
+            a[(f - first) // p :: pk // p] += 1
+            pk *= p
+        sl = slice(first - lo, None, p)
+        rest[sl] //= powers[a]
+        g[sl] *= local[a]
+        s[sl] *= odd[a]
+        k[sl] *= half[a]
+    big = rest > 1
+    P = rest[big]
+    g[big] *= np.where(P == 2, 3, P * P + P + 1)
+    s[big] *= P
+    k[big] *= P
+
 
 def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfSieve:
     """Build the smallest-prime-factor table up to limit.
 
-    Raises ResourceError when 4*(limit+1) bytes would exceed memory_budget.
+    Raises ResourceError when 4*(limit+1) bytes would exceed memory_budget;
+    the sieve's q-tables must later fit in what is left of it.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -105,7 +217,7 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> S
     spf[rest] = rest.astype(np.uint32)
     spf[1] = 1
     spf.setflags(write=False)
-    return SpfSieve(limit, spf)
+    return SpfSieve(limit, spf, memory_budget)
 
 
 def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:

@@ -8,21 +8,28 @@ for a divisor m of n^2, so
     T(B)     = sum_{n<=B} sum_{q | n^2, q*B < n^2} r4*(q^2)
     N*(B)/32 = sum_{n<=B} sum_{q | n^2, q <= B, n^2 <= q*B} r4*(q^2)
 
-and the primitive count N_U(B) = sum_j mu(j) N*(B/j), with j summed
-innermost, is the Mertens form
+and N_U(B) = sum_j mu(j) N*(B/j) counts the primitive tuples.
 
-    N_U(B)/32 = sum_{q<=B} r4*(q^2) sum_{m>=1} M(min(B//q, q*B//(kappa(q)^2 m^2)))
+Swap the order: q | n^2 exactly when kappa(q) | n, kappa(q) = prod p^ceil(a/2)
+over p^a || q.  Write q = s u^2 with s squarefree; then kappa(q) = s u, and
+floor(isqrt(q B) / kappa(q)) = isqrt(B // s).  With g(q) = r4*(q^2),
 
-for M the Mertens function: O(B) work, against O(B log B) for one N* pass
-per squarefree j.
+    N*(B)/32 = sum_{q<=B} g(q) isqrt(B // s(q))
+    T(B)     = sum_{q<=B} g(q) (B // kappa(q) - isqrt(B // s(q)))
+    S(x, y)  = sum_{q <= min(isqrt(y), x^2)} g(q) (x // kappa(q))
+    N_U(B)/32 = sum_{q<=B} g(q) (u M(B // q) + sum_{m>u} M(B // (s m^2)))
 
-All of them are evaluated in the swapped order by one kernel: q | n^2
-exactly when kappa(q) | n, so each q contributes r4*(q^2) times a count over
-the multiples n = kappa(q)*m (for N_U, the sum of M above).  All bound
-comparisons are integer cross-multiplications; all accumulators are exact
-(Python integers never wrap).  The n-ordered divisor enumeration
+for M the Mertens function: the last is the Mobius sum with j innermost,
+since the pair (q, n = kappa(q) m) lies in N*(B/j) exactly when
+j <= min(B // q, B // (s m^2)), and the minimum is B // q for m <= u.
+
+Each count is one reduction (_q_sum) of g against a per-q term over the
+q-tables of arith.SpfSieve.q_tables, block by block: the terms are int64
+numpy arrays, and each block's dot product is taken in int64 only where
+an overflow bound proves it exact (_exact_dot); the block sums are added
+as Python integers.  The n-ordered divisor enumeration
 (arith.square_divisor_weights) is the independent oracle that
-partition_witness checks the kernel against."""
+partition_witness checks the reduction against."""
 
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SpfSieve, mertens_table, square_divisor_weights
+from .arith import Q_BLOCK, SpfSieve, mertens_table, square_divisor_weights
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -91,84 +98,85 @@ class TelescopeReport:
 
 
 # ----------------------------------------------------------------------
-# counting kernel
+# the reduction over q
 # ----------------------------------------------------------------------
 
+_INT64_MAX = 2**63 - 1
 
-def _kappa_sum(spf, K: int, Q: int, count) -> int:
-    """Sum of r4*(q^2) * count(q, kappa(q)) over q <= Q with kappa(q) <= K.
 
-    This is the (n, q) double sum taken in the swapped order: q | n^2
-    exactly when kappa(q) | n, with kappa(q) = prod p^ceil(a/2) over p^a || q,
-    so count(q, k) is the number of admissible multiples n of k = kappa(q)
-    (or, for N_U, a sum of such numbers).
-    For each k <= K the q with kappa(q) = k follow from k's factorization:
-    every p^e || k puts p^(2e-1) or p^(2e) into q, and r4*(q^2) is the
-    product of the r4*(p^(2a)).  A q above Q is dropped as soon as it is
-    formed; since q >= kappa(q), no k above Q contributes.
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) elementwise, for an int64 array with 0 <= v < 2^53.
+
+    Such v convert to float64 exactly and the root is correctly rounded,
+    so it is floor(sqrt(v)) or one more; the second case is corrected.
     """
-    item = spf.item
+    assert int(v.max(initial=0)) < 2**53, "float isqrt needs arguments below 2^53"
+    r = np.sqrt(v).astype(np.int64)
+    r -= r * r > v
+    return r
+
+
+def _exact_dot(g: np.ndarray, t: np.ndarray) -> int:
+    """sum(g * t) exactly, for int64 arrays g >= 0 and t.
+
+    No partial sum of an int64 dot over L terms can wrap when
+    max g * max|t| * L < 2^63.  A block that fails this for L = len(g) is
+    split into the 32-bit limbs of g, each dotted in chunks whose length L
+    meets the same bound for that limb; when max|t| >= 2^31 no chunk is
+    safe and the block is summed in Python integers.  Chunk sums are added
+    as Python integers.
+    """
+    mt = max(int(t.max(initial=0)), -int(t.min(initial=0)))
+    n = len(g)
+    if int(g.max(initial=0)) * mt * n <= _INT64_MAX:
+        return int(np.dot(g, t))
+    if mt >= 1 << 31:
+        return sum(x * y for x, y in zip(g.tolist(), t.tolist()))
     total = 0
-    for k in range(1, min(K, Q) + 1):
-        qs = [1]
-        ws = [1]
-        m = k
-        while m > 1 and qs:
-            p = item(m)
-            m //= p
-            pe1 = 1  # p^(e-1)
-            while m % p == 0:
-                m //= p
-                pe1 *= p
-            q_lo = p * pe1 * pe1  # p^(2e-1)
-            if p == 2:
-                w_lo = w_hi = 3
-            else:
-                # r4*(p^(2a)) = (p^(2a+1) - 1)/(p - 1) for a = 2e-1, 2e
-                top = q_lo * q_lo * p
-                w_lo = (top - 1) // (p - 1)
-                w_hi = (top * p * p - 1) // (p - 1)
-            nq = []
-            nw = []
-            for i in range(len(qs)):
-                q = qs[i] * q_lo
-                if q > Q:
-                    continue
-                w = ws[i]
-                nq.append(q)
-                nw.append(w * w_lo)
-                q *= p
-                if q <= Q:
-                    nq.append(q)
-                    nw.append(w * w_hi)
-            qs = nq
-            ws = nw
-        for i in range(len(qs)):
-            total += ws[i] * count(qs[i], k)
+    for shift, limb in ((0, g & 0xFFFFFFFF), (32, g >> 32)):
+        m = int(limb.max())
+        if m:
+            L = _INT64_MAX // (m * mt)
+            part = sum(int(np.dot(limb[i : i + L], t[i : i + L])) for i in range(0, n, L))
+            total += part << shift
     return total
 
 
-def _s_window(spf, a: int, c: int, Q: int) -> int:
-    """S restricted to a < n <= c: the q <= Q with q | n^2."""
-    return _kappa_sum(spf, c, Q, lambda q, k: c // k - a // k)
+def _q_sum(sieve: SpfSieve, Q: int, term) -> int:
+    """sum_{q <= Q} g(q) * term(block, s, k), exactly.
+
+    term maps one block of at most Q_BLOCK consecutive q, given as a slice
+    and as int64 arrays of s = s(q) and k = kappa(q), to an int64 array of
+    the per-q count.
+    """
+    if Q < 1:
+        return 0
+    g_all, s_all, k_all = sieve.q_tables(Q)
+    total = 0
+    for lo in range(1, Q + 1, Q_BLOCK):
+        block = slice(lo, min(lo + Q_BLOCK, Q + 1))
+        s = s_all[block].astype(np.int64)
+        k = k_all[block].astype(np.int64)
+        total += _exact_dot(g_all[block], term(block, s, k))
+    return total
 
 
-def _t_window(spf, a: int, c: int, B: int) -> int:
-    """T(B) restricted to a < n <= c: the q | n^2 with q*B < n^2, i.e.
-    n > isqrt(q*B)."""
-    isqrt = math.isqrt
-
-    def count(q, k):
-        lo = max(a, isqrt(q * B))
-        return c // k - lo // k if lo < c else 0
-
-    return _kappa_sum(spf, c, B, count)
+def _s_terms(a: int, c: int, Q: int):
+    """S restricted to a < n <= c and q <= Q, as the arguments (Q', term)
+    of _q_sum: each q counts the multiples of kappa(q) in (a, c].  Only
+    q <= c^2 can count, since kappa(q)^2 >= q."""
+    if a == 0:
+        return min(Q, c * c), lambda block, s, k: c // k
+    return min(Q, c * c), lambda block, s, k: c // k - a // k
 
 
-def _n_star_window(spf, bn: int, bd: int) -> int:
-    """N*(bn/bd)/32: the q | n^2 with q <= bn/bd and n^2 <= q*bn/bd."""
-    isqrt = math.isqrt
-    return _kappa_sum(spf, bn // bd, bn // bd, lambda q, k: isqrt(q * bn // bd) // k)
+def _t_terms(a: int, c: int, B: int):
+    """T(B) restricted to a < n <= c, as the arguments (Q', term) of _q_sum:
+    each q <= B counts the multiples of kappa(q) in (max(a, isqrt(q B)), c],
+    and isqrt(q B) // kappa(q) = isqrt(B // s(q)).  Only q <= c^2 can count."""
+    return min(B, c * c), (
+        lambda block, s, k: np.maximum(c // k - np.maximum(a // k, _isqrt(B // s)), 0)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -176,11 +184,11 @@ def _n_star_window(spf, bn: int, bd: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _as_num_den(bound) -> tuple[int, int]:
+def _floor(bound) -> int:
     if isinstance(bound, Fraction):
-        return bound.numerator, bound.denominator
+        return bound.numerator // bound.denominator
     if isinstance(bound, int):
-        return bound, 1
+        return bound
     raise TypeError(f"unsupported bound type {type(bound)!r}")
 
 
@@ -194,14 +202,13 @@ def _check_range(n_max: int, sieve: SpfSieve) -> None:
 def s_exact(x: int, y, sieve: SpfSieve) -> int:
     """S(x, y): sum over n <= x, d | n^4 with d <= y and n^4/d square, of r4*(d).
 
-    y may be an int or a Fraction; the divisor condition
-    d = q^2 <= y is evaluated exactly.
+    y may be an int or a Fraction; the divisor condition d = q^2 <= y is
+    q <= isqrt(floor(y)).
     """
     if x < 1:
         return 0
     _check_range(x, sieve)
-    ynum, yden = _as_num_den(y)
-    return _s_window(sieve.spf, 0, x, math.isqrt(ynum // yden))
+    return _q_sum(sieve, *_s_terms(0, x, math.isqrt(_floor(y))))
 
 
 def t_exact(B: int, sieve: SpfSieve) -> int:
@@ -209,70 +216,65 @@ def t_exact(B: int, sieve: SpfSieve) -> int:
     if B < 1:
         return 0
     _check_range(B, sieve)
-    return _t_window(sieve.spf, 0, B, B)
+    return _q_sum(sieve, *_t_terms(0, B, B))
 
 
 def n_star(bound, sieve: SpfSieve) -> int:
     """N*(bound): integer tuples (x, y1..y4, z) on x^4 = (y1^2+..+y4^2) z^2
     with 1 <= |x| <= bound, 1 <= sum y_i^2 <= bound^2, |z| <= bound.
 
-    bound may be an int or a Fraction; returns 0 for bound < 1.
+    bound may be an int or a Fraction; returns 0 for bound < 1.  For
+    rational b, N*(b) = N*(floor(b)): a tuple is a pair q | n^2 with q <= b
+    and r = n^2/q <= b, and q and r are integers, so q <= b and r <= b
+    exactly when q <= floor(b) and r <= floor(b) (and then n^2 = q r).
     """
-    bn, bd = _as_num_den(bound)
-    n_max = bn // bd
-    if n_max < 1:
+    B = _floor(bound)
+    if B < 1:
         return 0
-    _check_range(n_max, sieve)
-    return SIGN_FACTOR * _n_star_window(sieve.spf, bn, bd)
+    _check_range(B, sieve)
+    return SIGN_FACTOR * _q_sum(sieve, B, lambda block, s, k: _isqrt(B // s))
 
 
-def n_u(B, sieve: SpfSieve) -> int:
-    """N_U(B): primitive tuples (gcd of all six coordinates = 1) of height <= B.
+def n_u(bound, sieve: SpfSieve) -> int:
+    """N_U(bound): primitive tuples (gcd of all six coordinates = 1) of height <= bound.
 
     Mobius inversion gives N_U(B) = sum_{j <= B} mu(j) N*(B/j); summed with
     j innermost it becomes the Mertens form
 
-        N_U(B)/32 = sum_{q<=B} r4*(q^2) sum_{m>=1} M(min(B//q, q*B//(kappa(q)^2 m^2))),
+        N_U(B)/32 = sum_{q<=B} g(q) (u M(B // q) + sum_{m>u} M(B // (s m^2)))
 
-    one kernel pass over q <= B with a table of M(0..B): O(B) work where
-    one N* pass per squarefree j costs O(B log B).  B may be an int or a
-    Fraction; every floor is taken exactly.
+    for q = s u^2, s squarefree: O(B) work over the q-tables and a table of
+    M(0..B).  bound may be an int or a Fraction, and N_U(b) = N_U(floor(b)):
+    N*(b/j) = N*(floor(b/j)) = N*(floor(floor(b)/j)) for every j (see n_star).
     """
-    bn, bd = _as_num_den(B)
-    n_max = bn // bd
-    if n_max < 1:
+    B = _floor(bound)
+    if B < 1:
         return 0
-    _check_range(n_max, sieve)
-    isqrt = math.isqrt
-    mertens = mertens_table(n_max)
+    _check_range(B, sieve)
+    s_all = sieve.q_tables(B)[1]
+    mertens = np.frombuffer(mertens_table(B), dtype=np.intc)
+    # tail[s u^2] = sum_{m>u} M(B // (s m^2)), summed downwards over m for
+    # all squarefree s at once; |M(x)| <= x, so |tail| <= sum_{m>=2} B/m^2 < B < 2^31
+    squarefree = np.flatnonzero(s_all[1 : B + 1] == np.arange(1, B + 1)) + 1
+    tail = np.zeros(B + 1, dtype=np.intc)
+    for m in range(math.isqrt(B), 1, -1):
+        sf = squarefree[: np.searchsorted(squarefree, B // (m * m), side="right")]
+        hi = sf * (m * m)
+        tail[sf * ((m - 1) * (m - 1))] = tail[hi] + mertens[B // hi]
 
-    # With k = kappa(q) and c = B//q, the pair (q, n = k*m) lies in N*(B/j)
-    # exactly when j <= c and j <= q*B//(k^2 m^2); the first
-    # m0 = isqrt(q*B//(k^2 c)) values of m are capped at M(c), the rest run
-    # until the floor reaches 0.
-    def count(q, k):
-        c = bn // (bd * q)
-        top = q * bn
-        den = bd * k * k
-        m = isqrt(top // (den * c))
-        total = m * mertens[c]
-        m += 1
-        v = top // (den * m * m)
-        while v:
-            total += mertens[v]
-            m += 1
-            v = top // (den * m * m)
-        return total
+    def term(block, s, k):
+        u = k // s
+        return u * mertens[B // (k * u)] + tail[block]  # q = kappa u
 
-    return SIGN_FACTOR * _kappa_sum(sieve.spf, n_max, n_max, count)
+    return SIGN_FACTOR * _q_sum(sieve, B, term)
 
 
 def partition_witness(B: int, sieve: SpfSieve) -> PartitionWitness:
-    """S(B,B^2) and T(B) from the counting kernel, N*(B) from the divisors
+    """S(B,B^2) and T(B) from the reduction over q, N*(B) from the divisors
     of each n^2 in turn; constructing the witness verifies N* = 32 (S - T).
 
-    The two orders of summation share no code past the sieve, so a kernel
-    that loses or repeats a term breaks the identity.
+    The two orders of summation share no code past the sieve, so a
+    reduction that loses or repeats a term breaks the identity.
     """
     s_val = s_exact(B, B * B, sieve)
     t_val = t_exact(B, sieve)
@@ -466,20 +468,20 @@ def telescoping_check(B: int, sieve: SpfSieve) -> TelescopeReport:
         raise ArithmeticError("could not disambiguate delta-power brackets") from last_err
 
     t_val = t_exact(B, sieve)
-    spf = sieve.spf
 
     # per shell k = 1..k0: its T-window for the partition (plus the remainder
     # below x_{k0}), its S-window at cutoff y_k for the lower bound, and the
     # companion upper-shell S-window at the slower-shrinking cutoff y_{k-1}
-    t_shells = _t_window(spf, 0, xs[k0], B)
+    t_shells = _q_sum(sieve, *_t_terms(0, xs[k0], B))
     lower = 0
     upper = 0
     for k in range(1, k0 + 1):
-        if xs[k] >= xs[k - 1]:
+        a, c = xs[k], xs[k - 1]
+        if a >= c:
             continue
-        t_shells += _t_window(spf, xs[k], xs[k - 1], B)
-        lower += _s_window(spf, xs[k], xs[k - 1], math.isqrt(ys[k]))
-        upper += _s_window(spf, xs[k], xs[k - 1], math.isqrt(ys[k - 1]))
+        t_shells += _q_sum(sieve, *_t_terms(a, c, B))
+        lower += _q_sum(sieve, *_s_terms(a, c, math.isqrt(ys[k])))
+        upper += _q_sum(sieve, *_s_terms(a, c, math.isqrt(ys[k - 1])))
     partition_ok = t_shells == t_val
     lower_ok = t_val >= lower
 

@@ -57,6 +57,32 @@ class TestSieve:
         assert int(s.spf[9999991]) == 9999991
 
 
+class TestQTables:
+    def test_against_factorization_while_growing(self, sieve_small):
+        # tables grow to max(n, 2 * current): 1, 2, 4, 9, 5000, 10000
+        sieve = build_spf_sieve(10)
+        sizes = []
+        for n in (1, 2, 3, 9, 5000, 5001):
+            g, s, k = sieve.q_tables(n)
+            sizes.append(len(g) - 1)
+            assert len(s) == len(k) == len(g)
+            assert not (g.flags.writeable or s.flags.writeable or k.flags.writeable)
+        assert sizes == [1, 2, 4, 9, 5000, 10000]
+        for q in range(1, 10**4 + 1):
+            fac = factorize(q, sieve_small).factors
+            squared = FactoredInteger(q * q, tuple((p, 2 * a) for p, a in fac))
+            squarefree = math.prod(p for p, a in fac if a % 2)
+            kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac)
+            assert (int(g[q]), int(s[q]), int(k[q])) == (r4_star(squared), squarefree, kappa), q
+
+    def test_growth_stops_at_the_budget(self):
+        sieve = build_spf_sieve(10, memory_budget=4 * 11 + 16 * 1001)
+        assert len(sieve.q_tables(600)[0]) == 601
+        assert len(sieve.q_tables(601)[0]) == 1001  # not 1200
+        with pytest.raises(ResourceError):
+            sieve.q_tables(1001)
+
+
 class TestFactorize:
     def test_twelve(self, sieve_small):
         assert factorize(12, sieve_small).factors == ((2, 2), (3, 1))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qpc import cli, counting
+from qpc import arith, cli, counting
 
 QPC = [sys.executable, "-m", "qpc.cli"]
 
@@ -263,10 +263,21 @@ class TestVerifySuitesEndToEnd:
 
     def test_partition_suite_fails_on_a_kernel_that_loses_a_term(self, monkeypatch, capsys):
         # the witness takes N* from the n-ordered divisor enumeration, so a
-        # kernel that skips its last k breaks N* = 32 (S - T)
-        kernel = counting._kappa_sum
+        # reduction that drops its last q breaks N* = 32 (S - T)
+        reduction = counting._q_sum
         monkeypatch.setattr(
-            counting, "_kappa_sum", lambda spf, K, Q, window: kernel(spf, K - 1, Q, window)
+            counting, "_q_sum", lambda sieve, Q, term: reduction(sieve, Q - 1, term)
         )
         assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_CHECK_FAILED
         assert "FAIL partition" in capsys.readouterr().out
+
+    def test_table_budget_exit_2(self, monkeypatch, capsys):
+        # a sieve whose budget leaves no room for the q-tables of its counts
+        build = arith.build_spf_sieve
+        monkeypatch.setattr(
+            arith, "build_spf_sieve",
+            lambda limit: build(limit, memory_budget=4 * (limit + 1) + 1000),
+        )
+        assert cli.main(["count", "--kind", "star", "--B", "5000"]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "q-tables" in captured.err

@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpc import (
     ResourceError,
     brute_force_primitive,
     brute_force_star,
+    build_spf_sieve,
     factorize,
     mobius,
     n_star,
@@ -19,6 +21,7 @@ from qpc import (
     telescoping_check,
 )
 from qpc import counting
+from qpc.arith import Q_BLOCK
 from qpc.counting import PartitionWitness
 from conftest import divisors_from_factors, r4_star_divisor_oracle
 
@@ -268,8 +271,18 @@ class TestTelescoping:
 
 
 # ----------------------------------------------------------------------
-# the counting kernel against the n-ordered divisor enumeration
+# the reduction over q against the n-ordered divisor enumeration
 # ----------------------------------------------------------------------
+
+
+def t_window(sieve, a, c, B):
+    """T(B) restricted to a < n <= c, as telescoping_check sums its shells."""
+    return counting._q_sum(sieve, *counting._t_terms(a, c, B))
+
+
+def s_window(sieve, a, c, Q):
+    """S restricted to a < n <= c and q <= Q, as telescoping_check sums its shells."""
+    return counting._q_sum(sieve, *counting._s_terms(a, c, Q))
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +325,6 @@ def test_n_u_mertens_form_matches_mobius_sum(seed, sieve_small):
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_matches_n_ordered_oracle(seed, sieve_small, divisor_terms):
     rng = random.Random(seed)
-    spf = sieve_small.spf
     for _ in range(3):
         x = rng.randint(1, 2000)
         for y in (rng.randint(1, x**4), Fraction(rng.randint(1, x**4), rng.randint(2, 99))):
@@ -331,7 +343,136 @@ def test_kernel_matches_n_ordered_oracle(seed, sieve_small, divisor_terms):
         a = rng.randint(0, c)
         B = rng.randint(c, 2000)
         y = rng.randint(1, c**4)
-        assert counting._t_window(spf, a, c, B) == oracle_t(a, c, B, divisor_terms), (a, c, B)
-        assert counting._s_window(spf, a, c, math.isqrt(y)) == oracle_s(
+        assert t_window(sieve_small, a, c, B) == oracle_t(a, c, B, divisor_terms), (a, c, B)
+        assert s_window(sieve_small, a, c, math.isqrt(y)) == oracle_s(
             a, c, y, divisor_terms
         ), (a, c, y)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_bounds_count_as_their_floor(seed, sieve_small):
+    # q | n^2 with q <= b and n^2/q <= b are conditions on integers
+    rng = random.Random(100 + seed)
+    for i in range(9):
+        d = rng.randint(2, 97)
+        b = Fraction(rng.randint(1, 5000 * d), d)
+        assert n_star(b, sieve_small) == n_star(math.floor(b), sieve_small), b
+        if i % 3 == 0:
+            assert n_u(b, sieve_small) == n_u(math.floor(b), sieve_small), b
+
+
+# ----------------------------------------------------------------------
+# edges of the q-table blocks, against the n-ordered divisor enumeration
+# ----------------------------------------------------------------------
+
+EDGES = (Q_BLOCK - 1, Q_BLOCK, Q_BLOCK + 1, 2 * Q_BLOCK - 1, 2 * Q_BLOCK + 1)
+
+
+@pytest.fixture(scope="module")
+def pair_arrays(sieve_mid):
+    """n, q, r4*(q^2) over the pairs q | n^2 with q <= max(EDGES), as int64
+    arrays; every oracle sum below needs no larger q."""
+    top = max(EDGES)
+    ns, qs, ws = [], [], []
+    for n in range(1, top + 1):
+        for q, w in square_divisor_weights(sieve_mid.factor_list(n)):
+            if q <= top:
+                ns.append(n)
+                qs.append(q)
+                ws.append(w)
+    return np.array(ns), np.array(qs), np.array(ws)
+
+
+def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid):
+    n, q, w = pair_arrays
+    n2 = n * n
+    # N*(b)/32 for every b <= max(EDGES): the pairs with max(q, n^2/q) <= b
+    height = np.maximum(q, n2 // q)
+    hist = np.zeros(max(EDGES) + 1, dtype=np.int64)
+    np.add.at(hist, height[height <= max(EDGES)], w[height <= max(EDGES)])
+    star = np.cumsum(hist).tolist()
+    mu = [0] + [mobius(factorize(j, sieve_mid)) for j in range(1, max(EDGES) + 1)]
+    for B in EDGES:
+        a = B // 3
+        want = {
+            "n_star": 32 * star[B],
+            "n_u": 32 * sum(mu[j] * star[B // j] for j in range(1, B + 1)),
+            "s": int(w[(n <= B) & (q <= B)].sum()),
+            "t": int(w[(n <= B) & (q * B < n2)].sum()),
+            "s_window": int(w[(n > a) & (n <= B) & (q <= B // 2)].sum()),
+            "t_window": int(w[(n > a) & (n <= B) & (q * B < n2)].sum()),
+        }
+        # a fresh sieve builds its tables to exactly B, so the last table
+        # block and the last reduction block both end at B; it may hold no
+        # multiple of some p <= isqrt(B)
+        got = {}
+        for kind in want:
+            sieve = build_spf_sieve(B)
+            got[kind] = {
+                "n_star": lambda: n_star(B, sieve),
+                "n_u": lambda: n_u(B, sieve),
+                "s": lambda: s_exact(B, B * B, sieve),
+                "t": lambda: t_exact(B, sieve),
+                "s_window": lambda: s_window(sieve, a, B, B // 2),
+                "t_window": lambda: t_window(sieve, a, B, B),
+            }[kind]()
+        assert got == want, B
+        # the same counts on tables grown past B by earlier calls
+        assert n_star(B, sieve_mid) == want["n_star"]
+        assert t_exact(B, sieve_mid) == want["t"]
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 4])
+def test_tables_below_the_first_prime_square(B):
+    # for B < 4 no prime is sieved, so q = 2 is a leftover prime and must
+    # take r4*(4) = 3, not 2^2 + 2 + 1
+    sieve = build_spf_sieve(4)
+    assert n_star(B, sieve) == brute_force_star(B)
+    sieve = build_spf_sieve(4)
+    assert n_u(B, sieve) == brute_force_primitive(B)
+    sieve = build_spf_sieve(4)
+    assert 32 * (s_exact(B, B * B, sieve) - t_exact(B, sieve)) == brute_force_star(B)
+
+
+def test_exact_dot_at_every_overflow_choice():
+    # one case per path of the overflow guard, each against a Python-int sum:
+    # a plain int64 dot, 32-bit limbs in one chunk each, limbs in chunks
+    # shorter than the block, and Python integers
+    rng = random.Random(9)
+    top = 2**63 - 1
+    cases = [
+        ([rng.randint(0, 2**40) for _ in range(1000)], [rng.randint(-4096, 4096) for _ in range(1000)]),
+        ([rng.randint(2**61, top) for _ in range(1000)], [rng.randint(-256, 256) for _ in range(1000)]),
+        # the largest limbs against a constant t: every chunk sum is as
+        # large as the chunk length allows
+        ([top] * 1000, [2**8] * 1000),
+        ([top] * 1000, [-(2**30)] * 1000),
+        ([top] * 1000, [2**31 - 1] * 1000),
+        ([rng.randint(2**61, top) for _ in range(1000)], [rng.randint(-2**40, 2**40) for _ in range(1000)]),
+    ]
+    for gs, ts in cases:
+        want = sum(x * y for x, y in zip(gs, ts))
+        got = counting._exact_dot(np.array(gs, dtype=np.int64), np.array(ts, dtype=np.int64))
+        assert got == want and type(got) is int, ts[0]
+    # the plain dot is taken only while its bound holds; past it the
+    # wrapped int64 result would differ
+    g = np.full(4, 2**61, dtype=np.int64)
+    t = np.full(4, 3, dtype=np.int64)
+    assert counting._exact_dot(g, t) == 12 * 2**61 != int(np.dot(g, t))
+
+
+def test_float_isqrt_near_squares():
+    rng = random.Random(10)
+    ks = [1, 2, 3, 2**26, 94906265] + [rng.randint(2**20, 94906265) for _ in range(200)]
+    v = np.array([k * k + d for k in ks for d in (-1, 0, 2 * k) if k * k + d < 2**53])
+    assert counting._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
+
+
+def test_table_budget():
+    sieve = build_spf_sieve(1000, memory_budget=4 * 1001 + 16 * 1001)
+    assert n_star(1000, sieve) == n_star(1000, build_spf_sieve(1000))
+    with pytest.raises(ResourceError):
+        s_exact(1000, 10**8, sieve)  # needs q up to 10^4
+    with pytest.raises(ResourceError):
+        s_exact(40, 10**12, sieve)  # needs q up to 40^2 = 1600
+    assert s_exact(40, 10**6, sieve) == s_exact(40, 10**6, build_spf_sieve(1000))

@@ -4,7 +4,7 @@ the quartic hypersurface x^4 = (y1^2 + y2^2 + y3^2 + y4^2) z^2."""
 from .arith import (
     DEFAULT_SIEVE_LIMIT,
     FactoredInteger,
-    SpfSieve,
+    QTables,
     build_spf_sieve,
     factorize,
     mertens_table,

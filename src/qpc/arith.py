@@ -6,9 +6,10 @@ two arithmetic primitives defined here:
     r4*(d) = sum of divisors l of d with l not divisible by 4,
 
 so that 8*r4*(d) counts representations of d as a sum of four squares, and
-smallest-prime-factor (SPF) factorization.  The counts themselves read
-three q-indexed tables, g(q) = r4*(q^2), the squarefree part s(q) of q and
-kappa(q), which a segmented sieve builds block by block (SpfSieve.q_tables).
+smallest-prime-factor (SPF) factorization for the n-ordered oracles.  The
+counts read only three q-indexed tables, g(q) = r4*(q^2), the squarefree
+part s(q) of q and kappa(q), which a segmented sieve builds block by block
+(QTables.upto).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import ResourceError
 
 DEFAULT_SIEVE_LIMIT = 10**7
-# SPF entries are 4 bytes each and q-table entries 16 (g as int64, s and
-# kappa as int32); the budget caps both together.
+# Default caps, in bytes, of an SPF table and of the q-tables, which take 16
+# bytes per q (g as int64, s and kappa as int32) beside a count's own arrays.
 DEFAULT_MEMORY_BUDGET = 1 << 29
 Q_TABLE_BYTES = 16
 # The q-tables are built, and the counts reduced, Q_BLOCK q at a time, so
@@ -64,23 +65,18 @@ class FactoredInteger:
 
 
 class SpfSieve:
-    """Smallest-prime-factor table covering 2..limit, and the q-tables of the counts.
+    """Smallest-prime-factor table covering 2..limit, for the n-ordered oracles.
 
     spf is a uint32 numpy array of length limit+1 with spf[i] the smallest
     prime factor of i for 2 <= i <= limit (spf[p] == p exactly for primes);
-    it is immutable after construction.  The q-tables are a cache that
-    q_tables builds on first use and grows; they need not stop at limit.
+    it is immutable after construction.
     """
 
-    __slots__ = ("limit", "spf", "memory_budget", "_g", "_s", "_k")
+    __slots__ = ("limit", "spf")
 
-    def __init__(self, limit: int, spf: np.ndarray, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    def __init__(self, limit: int, spf: np.ndarray):
         self.limit = limit
         self.spf = spf
-        self.memory_budget = memory_budget
-        self._g = np.zeros(1, dtype=np.int64)
-        self._s = np.zeros(1, dtype=np.int32)
-        self._k = np.zeros(1, dtype=np.int32)
 
     def factor_list(self, n: int) -> list[tuple[int, int]]:
         """Fast-path factorization as a plain list of (prime, exponent)."""
@@ -98,26 +94,40 @@ class SpfSieve:
             out.append((p, a))
         return out
 
-    def q_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+class QTables:
+    """The q-tables of the counts, built on first use and grown by upto."""
+
+    __slots__ = ("memory_budget", "_g", "_s", "_k")
+
+    def __init__(self, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+        self.memory_budget = memory_budget
+        self._g = np.zeros(1, dtype=np.int64)
+        self._s = np.zeros(1, dtype=np.int32)
+        self._k = np.zeros(1, dtype=np.int32)
+
+    def upto(self, n: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, s, k) covering at least 0 <= q <= n, as read-only arrays:
         g[q] = r4*(q^2) as int64, s[q] the squarefree part of q and
         k[q] = kappa(q) = prod p^ceil(a/2) over p^a || q as int32; with
         q = s u^2, s squarefree, kappa(q) = s u.  Entry 0 is unused.
 
-        Built on first use and then reused.  A call that needs more grows
-        them to max(n, 2 * current) entries, sieving only the new q, within
-        memory_budget together with spf and below Q_TABLE_CAP.  Raises
-        ResourceError when n itself does not fit.
+        A call that needs more grows them to max(n, 2 * current) entries,
+        sieving only the new q, within memory_budget less the spare bytes
+        the caller needs beside them, and below Q_TABLE_CAP.  Raises
+        ResourceError when the tables covering n and the spare bytes do
+        not fit.
         """
         have = len(self._g) - 1
+        cap = min(Q_TABLE_CAP, (self.memory_budget - spare) // Q_TABLE_BYTES) - 1
+        need = max(n, have)
+        if need > cap:
+            raise ResourceError(
+                f"q-tables up to {need} need {Q_TABLE_BYTES * (need + 1)} bytes beside "
+                f"{spare} for the count; budget is {self.memory_budget}"
+            )
         if n <= have:
             return self._g, self._s, self._k
-        cap = min(Q_TABLE_CAP, (self.memory_budget - self.spf.nbytes) // Q_TABLE_BYTES) - 1
-        if n > cap:
-            raise ResourceError(
-                f"q-tables up to {n} need {Q_TABLE_BYTES * (n + 1)} bytes beside the "
-                f"{self.spf.nbytes}-byte sieve; budget is {self.memory_budget}"
-            )
         top = max(n, min(2 * have, cap))
         tables = (
             np.empty(top + 1, dtype=np.int64),
@@ -198,8 +208,7 @@ def _q_table_block(lo: int, plan, g: np.ndarray, s: np.ndarray, k: np.ndarray) -
 def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfSieve:
     """Build the smallest-prime-factor table up to limit.
 
-    Raises ResourceError when 4*(limit+1) bytes would exceed memory_budget;
-    the sieve's q-tables must later fit in what is left of it.
+    Raises ResourceError when 4*(limit+1) bytes would exceed memory_budget.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -217,7 +226,7 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> S
     spf[rest] = rest.astype(np.uint32)
     spf[1] = 1
     spf.setflags(write=False)
-    return SpfSieve(limit, spf, memory_budget)
+    return SpfSieve(limit, spf)
 
 
 def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:

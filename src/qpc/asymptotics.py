@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfSieve, mobius_table, primes_up_to
+from .arith import QTables, mobius_table, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
 from .dirichlet import _g_value, zeta, zeta_star
 from .errors import DomainError, UnstableDifferentiationError
@@ -216,14 +216,14 @@ _TABLE_KINDS = ("S", "T", "N_star", "N_u")
 def convergence_table(
     kind: str,
     bounds,
-    sieve: SpfSieve,
+    tables: QTables,
     P: ResiduePolynomial,
     variant: str = "chain",
 ) -> list[CountRecord]:
     """One CountRecord per bound: exact count, predicted main term, ratio, timing.
 
     kind S is evaluated on the diagonal (x, y) = (B, B^2).  Bounds must be
-    ascending and within the sieve range.
+    ascending, and their q-tables must fit the budget of tables.
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"kind must be one of {_TABLE_KINDS}")
@@ -234,13 +234,13 @@ def convergence_table(
     for B in bounds:
         start = time.perf_counter()
         if kind == "S":
-            exact = s_exact(B, B * B, sieve)
+            exact = s_exact(B, B * B, tables)
         elif kind == "T":
-            exact = t_exact(B, sieve)
+            exact = t_exact(B, tables)
         elif kind == "N_star":
-            exact = n_star(B, sieve)
+            exact = n_star(B, tables)
         else:
-            exact = n_u(B, sieve)
+            exact = n_u(B, tables)
         elapsed = time.perf_counter() - start
 
         predicted = None

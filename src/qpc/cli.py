@@ -78,13 +78,12 @@ def _emit_records(records, cfg: RunConfig) -> None:
         print("[" + ",".join(items) + "]")
 
 
-def _sieve_for(cfg: RunConfig, needed: int) -> arith.SpfSieve:
-    limit = max(2, min(needed, cfg.sieve_limit))
+def _tables_for(cfg: RunConfig, needed: int) -> arith.QTables:
     if needed > cfg.sieve_limit:
         raise ResourceError(
             f"bound {needed} exceeds configured sieve limit {cfg.sieve_limit}"
         )
-    return arith.build_spf_sieve(limit)
+    return arith.QTables()
 
 
 # ----------------------------------------------------------------------
@@ -94,12 +93,12 @@ def _sieve_for(cfg: RunConfig, needed: int) -> arith.SpfSieve:
 
 def cmd_count(args, cfg: RunConfig) -> int:
     B = args.B
-    sieve = _sieve_for(cfg, max(B, 2))
+    tables = _tables_for(cfg, B)
     start = time.perf_counter()
     if args.kind == "star":
-        exact = counting.n_star(B, sieve)
+        exact = counting.n_star(B, tables)
     else:
-        exact = counting.n_u(B, sieve)
+        exact = counting.n_u(B, tables)
         if args.projective:
             exact //= 2
     elapsed = time.perf_counter() - start
@@ -113,10 +112,10 @@ def cmd_table(args, cfg: RunConfig) -> int:
     if not bounds:
         _emit_records([], cfg)
         return EXIT_OK
-    sieve = _sieve_for(cfg, max(max(bounds), 2))
+    tables = _tables_for(cfg, max(bounds))
     poly = asymptotics.p_coefficients(cfg.prime_limit)
     records = asymptotics.convergence_table(
-        args.kind, bounds, sieve, poly, cfg.variant
+        args.kind, bounds, tables, poly, cfg.variant
     )
     _emit_records(records, cfg)
     return EXIT_OK
@@ -149,11 +148,11 @@ def _suite_partition(cfg: RunConfig):
 
     rng = random.Random(47)
     sample = sorted(rng.sample(range(1, 4001), 40))
-    sieve = _sieve_for(cfg, 4000)
+    tables = _tables_for(cfg, 4000)
     checks = []
     for B in sample:
         try:
-            counting.partition_witness(B, sieve)
+            counting.partition_witness(B, tables)
             ok = True
         except ArithmeticError:
             ok = False
@@ -161,19 +160,19 @@ def _suite_partition(cfg: RunConfig):
     return checks
 
 def _suite_oracle(cfg: RunConfig):
-    sieve = _sieve_for(cfg, 64)
+    tables = _tables_for(cfg, 64)
     checks = []
     for B in range(0, 41):
-        star_ok = counting.n_star(B, sieve) == counting.brute_force_star(B)
-        prim_ok = counting.n_u(B, sieve) == counting.brute_force_primitive(B)
+        star_ok = counting.n_star(B, tables) == counting.brute_force_star(B)
+        prim_ok = counting.n_u(B, tables) == counting.brute_force_primitive(B)
         checks.append((f"oracle B={B}", star_ok and prim_ok, ""))
     return checks
 
 def _suite_telescope(cfg: RunConfig):
-    sieve = _sieve_for(cfg, 1000)
+    tables = _tables_for(cfg, 1000)
     checks = []
     for B in (10, 100, 1000):
-        rep = counting.telescoping_check(B, sieve)
+        rep = counting.telescoping_check(B, tables)
         checks.append(
             (
                 f"telescope B={B}",

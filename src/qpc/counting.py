@@ -23,13 +23,13 @@ for M the Mertens function: the last is the Mobius sum with j innermost,
 since the pair (q, n = kappa(q) m) lies in N*(B/j) exactly when
 j <= min(B // q, B // (s m^2)), and the minimum is B // q for m <= u.
 
-Each count is one reduction (_q_sum) of g against a per-q term over the
-q-tables of arith.SpfSieve.q_tables, block by block: the terms are int64
+Each count takes an arith.QTables and is one reduction (_q_sum) of g
+against a per-q term over its tables, block by block: the terms are int64
 numpy arrays, and each block's dot product is taken in int64 only where
 an overflow bound proves it exact (_exact_dot); the block sums are added
 as Python integers.  The n-ordered divisor enumeration
-(arith.square_divisor_weights) is the independent oracle that
-partition_witness checks the reduction against."""
+(arith.square_divisor_weights over an SPF table of its own) is the
+independent oracle that partition_witness checks the reduction against."""
 
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Q_BLOCK, SpfSieve, mertens_table, square_divisor_weights
+from .arith import Q_BLOCK, QTables, build_spf_sieve, mertens_table, square_divisor_weights
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -48,6 +48,11 @@ BRUTE_PRIMITIVE_CAP = 40
 # Tuples on the hypersurface come in sign families: 2 signs for x, 2 for z,
 # and 8*r4*(d) quadruples for y, giving the overall factor 32.
 SIGN_FACTOR = 32
+# Bytes per q that n_u allocates beside the q-tables, charged to their
+# budget: M(0..B) and tail as C ints, the int64 indices of the squarefree s
+# (6/pi^2 of all q) and the temporaries of the sum over m.  The traced peak
+# is 16.8 bytes per q at B = 10^6 and 3*10^6.
+N_U_BYTES = 17
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def _exact_dot(g: np.ndarray, t: np.ndarray) -> int:
     return total
 
 
-def _q_sum(sieve: SpfSieve, Q: int, term) -> int:
+def _q_sum(tables: QTables, Q: int, term) -> int:
     """sum_{q <= Q} g(q) * term(block, s, k), exactly.
 
     term maps one block of at most Q_BLOCK consecutive q, given as a slice
@@ -151,7 +156,7 @@ def _q_sum(sieve: SpfSieve, Q: int, term) -> int:
     """
     if Q < 1:
         return 0
-    g_all, s_all, k_all = sieve.q_tables(Q)
+    g_all, s_all, k_all = tables.upto(Q)
     total = 0
     for lo in range(1, Q + 1, Q_BLOCK):
         block = slice(lo, min(lo + Q_BLOCK, Q + 1))
@@ -192,34 +197,34 @@ def _floor(bound) -> int:
     raise TypeError(f"unsupported bound type {type(bound)!r}")
 
 
-def _check_range(n_max: int, sieve: SpfSieve) -> None:
-    if n_max > sieve.limit:
-        raise ResourceError(
-            f"count needs integers up to {n_max}, sieve limit is {sieve.limit}"
-        )
-
-
-def s_exact(x: int, y, sieve: SpfSieve) -> int:
+def s_exact(x, y, tables: QTables) -> int:
     """S(x, y): sum over n <= x, d | n^4 with d <= y and n^4/d square, of r4*(d).
 
-    y may be an int or a Fraction; the divisor condition d = q^2 <= y is
-    q <= isqrt(floor(y)).
+    x and y may be ints or Fractions: S(x, y) = S(floor(x), y) as n is an
+    integer, and d = q^2 <= y is q <= isqrt(floor(y)).  Raises ResourceError
+    for x >= 2^63, beyond the int64 per-q terms x // kappa(q).
     """
+    x = _floor(x)
     if x < 1:
         return 0
-    _check_range(x, sieve)
-    return _q_sum(sieve, *_s_terms(0, x, math.isqrt(_floor(y))))
+    if x > _INT64_MAX:
+        raise ResourceError(f"S(x, y) needs x < 2^63, got x = {x}")
+    return _q_sum(tables, *_s_terms(0, x, math.isqrt(_floor(y))))
 
 
-def t_exact(B: int, sieve: SpfSieve) -> int:
-    """T(B): sum over n <= B, d | n^4 with d < n^4/B^2 and n^4/d square, of r4*(d)."""
+def t_exact(B: int, tables: QTables) -> int:
+    """T(B): sum over n <= B, d | n^4 with d < n^4/B^2 and n^4/d square, of r4*(d).
+
+    B must be an int: T at a rational bound is not T at its floor.
+    """
+    if not isinstance(B, int):
+        raise TypeError(f"unsupported bound type {type(B)!r}")
     if B < 1:
         return 0
-    _check_range(B, sieve)
-    return _q_sum(sieve, *_t_terms(0, B, B))
+    return _q_sum(tables, *_t_terms(0, B, B))
 
 
-def n_star(bound, sieve: SpfSieve) -> int:
+def n_star(bound, tables: QTables) -> int:
     """N*(bound): integer tuples (x, y1..y4, z) on x^4 = (y1^2+..+y4^2) z^2
     with 1 <= |x| <= bound, 1 <= sum y_i^2 <= bound^2, |z| <= bound.
 
@@ -231,11 +236,10 @@ def n_star(bound, sieve: SpfSieve) -> int:
     B = _floor(bound)
     if B < 1:
         return 0
-    _check_range(B, sieve)
-    return SIGN_FACTOR * _q_sum(sieve, B, lambda block, s, k: _isqrt(B // s))
+    return SIGN_FACTOR * _q_sum(tables, B, lambda block, s, k: _isqrt(B // s))
 
 
-def n_u(bound, sieve: SpfSieve) -> int:
+def n_u(bound, tables: QTables) -> int:
     """N_U(bound): primitive tuples (gcd of all six coordinates = 1) of height <= bound.
 
     Mobius inversion gives N_U(B) = sum_{j <= B} mu(j) N*(B/j); summed with
@@ -246,12 +250,12 @@ def n_u(bound, sieve: SpfSieve) -> int:
     for q = s u^2, s squarefree: O(B) work over the q-tables and a table of
     M(0..B).  bound may be an int or a Fraction, and N_U(b) = N_U(floor(b)):
     N*(b/j) = N*(floor(b/j)) = N*(floor(floor(b)/j)) for every j (see n_star).
+    Its working arrays take N_U_BYTES per q of the tables' memory budget.
     """
     B = _floor(bound)
     if B < 1:
         return 0
-    _check_range(B, sieve)
-    s_all = sieve.q_tables(B)[1]
+    s_all = tables.upto(B, spare=N_U_BYTES * (B + 1))[1]
     mertens = np.frombuffer(mertens_table(B), dtype=np.intc)
     # tail[s u^2] = sum_{m>u} M(B // (s m^2)), summed downwards over m for
     # all squarefree s at once; |M(x)| <= x, so |tail| <= sum_{m>=2} B/m^2 < B < 2^31
@@ -266,18 +270,20 @@ def n_u(bound, sieve: SpfSieve) -> int:
         u = k // s
         return u * mertens[B // (k * u)] + tail[block]  # q = kappa u
 
-    return SIGN_FACTOR * _q_sum(sieve, B, term)
+    return SIGN_FACTOR * _q_sum(tables, B, term)
 
 
-def partition_witness(B: int, sieve: SpfSieve) -> PartitionWitness:
+def partition_witness(B: int, tables: QTables) -> PartitionWitness:
     """S(B,B^2) and T(B) from the reduction over q, N*(B) from the divisors
     of each n^2 in turn; constructing the witness verifies N* = 32 (S - T).
 
-    The two orders of summation share no code past the sieve, so a
-    reduction that loses or repeats a term breaks the identity.
+    The two orders share no table and no code (N* factors each n through an
+    SPF table of its own), so a reduction that loses or repeats a term
+    breaks the identity.
     """
-    s_val = s_exact(B, B * B, sieve)
-    t_val = t_exact(B, sieve)
+    s_val = s_exact(B, B * B, tables)
+    t_val = t_exact(B, tables)
+    sieve = build_spf_sieve(max(B, 2))
     ns = 0
     for n in range(1, B + 1):
         n2 = n * n
@@ -441,7 +447,7 @@ def _telescope_thresholds(B: int, dps: int) -> tuple[int, list[int], list[int]]:
             return k, xs, ys
 
 
-def telescoping_check(B: int, sieve: SpfSieve) -> TelescopeReport:
+def telescoping_check(B: int, tables: QTables) -> TelescopeReport:
     """Verify the geometric-shell partition and lower bound for T(B).
 
     With delta = 1 - 1/log B and k0 minimal with delta^k0 < (log B)^-3:
@@ -456,7 +462,6 @@ def telescoping_check(B: int, sieve: SpfSieve) -> TelescopeReport:
     """
     if B < 10:
         raise ValueError("telescoping_check requires B >= 10")
-    _check_range(B, sieve)
     last_err = None
     for dps in (60, 130, 260):
         try:
@@ -467,21 +472,21 @@ def telescoping_check(B: int, sieve: SpfSieve) -> TelescopeReport:
     else:  # pragma: no cover
         raise ArithmeticError("could not disambiguate delta-power brackets") from last_err
 
-    t_val = t_exact(B, sieve)
+    t_val = t_exact(B, tables)
 
     # per shell k = 1..k0: its T-window for the partition (plus the remainder
     # below x_{k0}), its S-window at cutoff y_k for the lower bound, and the
     # companion upper-shell S-window at the slower-shrinking cutoff y_{k-1}
-    t_shells = _q_sum(sieve, *_t_terms(0, xs[k0], B))
+    t_shells = _q_sum(tables, *_t_terms(0, xs[k0], B))
     lower = 0
     upper = 0
     for k in range(1, k0 + 1):
         a, c = xs[k], xs[k - 1]
         if a >= c:
             continue
-        t_shells += _q_sum(sieve, *_t_terms(a, c, B))
-        lower += _q_sum(sieve, *_s_terms(a, c, math.isqrt(ys[k])))
-        upper += _q_sum(sieve, *_s_terms(a, c, math.isqrt(ys[k - 1])))
+        t_shells += _q_sum(tables, *_t_terms(a, c, B))
+        lower += _q_sum(tables, *_s_terms(a, c, math.isqrt(ys[k])))
+        upper += _q_sum(tables, *_s_terms(a, c, math.isqrt(ys[k - 1])))
     partition_ok = t_shells == t_val
     lower_ok = t_val >= lower
 

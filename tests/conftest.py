@@ -1,6 +1,12 @@
 import pytest
 
-from qpc import build_spf_sieve
+from qpc import QTables, build_spf_sieve
+
+
+@pytest.fixture(scope="session")
+def tables():
+    """One set of q-tables for the session's counts, grown as they need."""
+    return QTables()
 
 
 @pytest.fixture(scope="session")

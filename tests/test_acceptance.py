@@ -17,6 +17,7 @@ import mpmath
 import pytest
 
 from qpc import (
+    QTables,
     brute_force_primitive,
     brute_force_star,
     build_spf_sieve,
@@ -58,9 +59,9 @@ def report(criterion, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def nstar_1e6_timed(sieve_big):
+def nstar_1e6_timed(tables):
     start = time.perf_counter()
-    value = n_star(10**6, sieve_big)
+    value = n_star(10**6, tables)
     elapsed = time.perf_counter() - start
     return value, elapsed
 
@@ -70,15 +71,15 @@ def poly_1e6():
     return p_coefficients(10**6)
 
 
-# workers for the criterion-2 pool; each process owns a small sieve
-_PARTITION_SIEVE = None
+# workers for the criterion-2 pool; each process owns its q-tables
+_PARTITION_TABLES = None
 
 
 def _partition_triple(B):
-    global _PARTITION_SIEVE
-    if _PARTITION_SIEVE is None:
-        _PARTITION_SIEVE = build_spf_sieve(10**4)
-    w = partition_witness(B, _PARTITION_SIEVE)
+    global _PARTITION_TABLES
+    if _PARTITION_TABLES is None:
+        _PARTITION_TABLES = QTables()
+    w = partition_witness(B, _PARTITION_TABLES)
     return B, w.s_part, w.t_part, w.n_star
 
 
@@ -88,25 +89,25 @@ _NAIVE_STATE = {}
 def _naive_vs_fast_one_y(y):
     if not _NAIVE_STATE:
         sieve = build_spf_sieve(500)
-        _NAIVE_STATE["sieve"] = sieve
+        _NAIVE_STATE["tables"] = QTables()
         _NAIVE_STATE["terms"] = {n: naive_inner_terms(n, sieve) for n in range(1, 501)}
-    sieve = _NAIVE_STATE["sieve"]
+    tables = _NAIVE_STATE["tables"]
     terms = _NAIVE_STATE["terms"]
     prefix = 0
     for x in range(1, 501):
         prefix += sum(w for d, w in terms[x] if d <= y)
-        if s_exact(x, y, sieve) != prefix:
+        if s_exact(x, y, tables) != prefix:
             return (x, y)
     return None
 
 
-def test_criterion_1_oracle_equivalence(sieve_small):
+def test_criterion_1_oracle_equivalence(tables):
     start = time.perf_counter()
     spots = {1: 32, 2: 128, 3: 544}
     prim_spots = {2: 96, 3: 480}
     for B in range(0, 41):
-        ns = n_star(B, sieve_small)
-        nu = n_u(B, sieve_small)
+        ns = n_star(B, tables)
+        nu = n_u(B, tables)
         assert ns == brute_force_star(B), f"n_star mismatch at B={B}"
         assert nu == brute_force_primitive(B), f"n_u mismatch at B={B}"
         if B in spots:
@@ -140,9 +141,10 @@ def test_criterion_3_definition_vs_fast_path():
     assert not failures, f"s_exact disagreed with the naive double loop at {failures}"
 
     sieve = build_spf_sieve(500)
+    tables = QTables()
     terms = {n: naive_inner_terms(n, sieve) for n in range(1, 501)}
     for B in range(1, 501):
-        assert t_exact(B, sieve) == naive_t(B, terms), f"t mismatch at B={B}"
+        assert t_exact(B, tables) == naive_t(B, terms), f"t mismatch at B={B}"
     elapsed = time.perf_counter() - start
     report(3, True, f"all x,B <= 500, 20 random y, {elapsed:.1f}s")
 
@@ -186,31 +188,31 @@ def test_criterion_6_constant_two_routes(poly_1e6):
     )
 
 
-def test_criterion_7a_t_ratio_trend(sieve_mid, poly_1e6):
-    r3 = abs(t_exact(10**3, sieve_mid) / t_main_term(10**3, poly_1e6) - 1)
-    r5 = abs(t_exact(10**5, sieve_mid) / t_main_term(10**5, poly_1e6) - 1)
+def test_criterion_7a_t_ratio_trend(tables, poly_1e6):
+    r3 = abs(t_exact(10**3, tables) / t_main_term(10**3, poly_1e6) - 1)
+    r5 = abs(t_exact(10**5, tables) / t_main_term(10**5, poly_1e6) - 1)
     report("7a", r5 < r3, f"|ratio-1|: {r3:.4f} at 1e3 -> {r5:.4f} at 1e5")
 
 
-def test_criterion_7b_s_ratio_trend(sieve_small, poly_1e6):
+def test_criterion_7b_s_ratio_trend(tables, poly_1e6):
     # along y = x^(5/2)
     r2 = abs(
-        s_exact(10**2, 10**5, sieve_small)
+        s_exact(10**2, 10**5, tables)
         / s_main_term(10**2, 10**5, poly_1e6)
         - 1
     )
     r4 = abs(
-        s_exact(10**4, 10**10, sieve_small)
+        s_exact(10**4, 10**10, tables)
         / s_main_term(10**4, 10**10, poly_1e6)
         - 1
     )
     report("7b", r4 < r2, f"|ratio-1|: {r2:.4f} at x=1e2 -> {r4:.4f} at x=1e4")
 
 
-def test_criterion_7c_mobius_ratio(sieve_small, sieve_big, nstar_1e6_timed):
+def test_criterion_7c_mobius_ratio(tables, nstar_1e6_timed):
     inv_zeta3 = 1.0 / zeta(3.0).value
-    ratio_small = n_u(10**3, sieve_small) / n_star(10**3, sieve_small)
-    nu6 = n_u(10**6, sieve_big)
+    ratio_small = n_u(10**3, tables) / n_star(10**3, tables)
+    nu6 = n_u(10**6, tables)
     ratio_big = nu6 / nstar_1e6_timed[0]
     gap_big = abs(ratio_big - inv_zeta3)
     gap_small = abs(ratio_small - inv_zeta3)
@@ -224,20 +226,20 @@ def test_criterion_7c_mobius_ratio(sieve_small, sieve_big, nstar_1e6_timed):
     )
 
 
-def test_criterion_7d_lower_sandwich(sieve_small):
+def test_criterion_7d_lower_sandwich(tables):
     oks = []
     for B in (10**2, 10**3, 10**4):
-        rep = telescoping_check(B, sieve_small)
+        rep = telescoping_check(B, tables)
         oks.append(rep.lower_ok and rep.partition_ok)
     report("7d", all(oks), "exact lower bound at B in {1e2, 1e3, 1e4}")
 
 
 def test_criterion_8_constant_discrepancy_report(
-    sieve_big, nstar_1e6_timed, poly_1e6, capsys
+    tables, nstar_1e6_timed, poly_1e6, capsys
 ):
     counts = {
-        10**4: n_star(10**4, sieve_big),
-        10**5: n_star(10**5, sieve_big),
+        10**4: n_star(10**4, tables),
+        10**5: n_star(10**5, tables),
         10**6: nstar_1e6_timed[0],
     }
     c4 = poly_1e6.c1

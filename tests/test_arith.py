@@ -6,6 +6,7 @@ import pytest
 
 from qpc import (
     FactoredInteger,
+    QTables,
     ResourceError,
     build_spf_sieve,
     factorize,
@@ -60,10 +61,10 @@ class TestSieve:
 class TestQTables:
     def test_against_factorization_while_growing(self, sieve_small):
         # tables grow to max(n, 2 * current): 1, 2, 4, 9, 5000, 10000
-        sieve = build_spf_sieve(10)
+        tables = QTables()
         sizes = []
         for n in (1, 2, 3, 9, 5000, 5001):
-            g, s, k = sieve.q_tables(n)
+            g, s, k = tables.upto(n)
             sizes.append(len(g) - 1)
             assert len(s) == len(k) == len(g)
             assert not (g.flags.writeable or s.flags.writeable or k.flags.writeable)
@@ -76,11 +77,11 @@ class TestQTables:
             assert (int(g[q]), int(s[q]), int(k[q])) == (r4_star(squared), squarefree, kappa), q
 
     def test_growth_stops_at_the_budget(self):
-        sieve = build_spf_sieve(10, memory_budget=4 * 11 + 16 * 1001)
-        assert len(sieve.q_tables(600)[0]) == 601
-        assert len(sieve.q_tables(601)[0]) == 1001  # not 1200
+        tables = QTables(memory_budget=16 * 1001)
+        assert len(tables.upto(600)[0]) == 601
+        assert len(tables.upto(601)[0]) == 1001  # not 1200
         with pytest.raises(ResourceError):
-            sieve.q_tables(1001)
+            tables.upto(1001)
 
 
 class TestFactorize:

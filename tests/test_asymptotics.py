@@ -169,45 +169,45 @@ class TestMainTerms:
 class TestConvergenceTable:
     POLY = ResiduePolynomial(0.22326446640869338, 0.05248119434012969, 1e-8, 1e-6)
 
-    def test_structure_T(self, sieve_small):
-        recs = convergence_table("T", [100, 1000], sieve_small, self.POLY)
+    def test_structure_T(self, tables):
+        recs = convergence_table("T", [100, 1000], tables, self.POLY)
         assert [r.bound for r in recs] == [100, 1000]
         for r in recs:
             assert r.kind == "T"
             assert r.ratio is not None and math.isfinite(r.ratio)
-            assert r.exact_count == t_exact(r.bound, sieve_small)
+            assert r.exact_count == t_exact(r.bound, tables)
 
-    def test_cross_module_equality(self, sieve_small):
-        recs = convergence_table("N_star", [10, 100], sieve_small, self.POLY)
+    def test_cross_module_equality(self, tables):
+        recs = convergence_table("N_star", [10, 100], tables, self.POLY)
         assert [r.exact_count for r in recs] == [
-            n_star(10, sieve_small),
-            n_star(100, sieve_small),
+            n_star(10, tables),
+            n_star(100, tables),
         ]
 
-    def test_empty_bounds(self, sieve_small):
-        assert convergence_table("S", [], sieve_small, self.POLY) == []
+    def test_empty_bounds(self, tables):
+        assert convergence_table("S", [], tables, self.POLY) == []
 
-    def test_bad_kind_and_order(self, sieve_small):
+    def test_bad_kind_and_order(self, tables):
         with pytest.raises(ValueError):
-            convergence_table("X", [10], sieve_small, self.POLY)
+            convergence_table("X", [10], tables, self.POLY)
         with pytest.raises(ValueError):
-            convergence_table("T", [100, 10], sieve_small, self.POLY)
+            convergence_table("T", [100, 10], tables, self.POLY)
 
-    def test_ratio_absent_at_bound_one(self, sieve_small):
-        recs = convergence_table("N_star", [1, 10], sieve_small, self.POLY)
+    def test_ratio_absent_at_bound_one(self, tables):
+        recs = convergence_table("N_star", [1, 10], tables, self.POLY)
         assert recs[0].predicted_main is None and recs[0].ratio is None
         assert recs[1].ratio is not None
 
-    def test_t_ratio_decreasing_toward_one(self, sieve_mid):
+    def test_t_ratio_decreasing_toward_one(self, tables):
         poly = p_coefficients(10**5)
         ratios = []
         for B in (10**3, 10**4, 10**5):
-            ratios.append(t_exact(B, sieve_mid) / t_main_term(B, poly))
+            ratios.append(t_exact(B, tables) / t_main_term(B, poly))
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
 
-def test_s_ratio_band_at_spec_point(sieve_small, poly):
-    exact = s_exact(10**4, 10**10, sieve_small)
+def test_s_ratio_band_at_spec_point(tables, poly):
+    exact = s_exact(10**4, 10**10, tables)
     ratio = exact / s_main_term(10**4, 10**10, poly)
     assert 0.5 < ratio < 1.5
 
@@ -220,9 +220,9 @@ def test_p_coefficients_instability_is_reported():
     assert exc.value.estimates is not None and len(exc.value.estimates) == 2
 
 
-def test_convergence_table_n_u_kind(sieve_small, poly):
-    recs = convergence_table("N_u", [40], sieve_small, poly)
+def test_convergence_table_n_u_kind(tables, poly):
+    recs = convergence_table("N_u", [40], tables, poly)
     from qpc import n_u
 
-    assert recs[0].exact_count == n_u(40, sieve_small)
+    assert recs[0].exact_count == n_u(40, tables)
     assert recs[0].ratio is not None

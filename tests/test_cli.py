@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qpc import arith, cli, counting
+from qpc import QTables, arith, cli, counting
 
 QPC = [sys.executable, "-m", "qpc.cli"]
 
@@ -266,18 +266,47 @@ class TestVerifySuitesEndToEnd:
         # reduction that drops its last q breaks N* = 32 (S - T)
         reduction = counting._q_sum
         monkeypatch.setattr(
-            counting, "_q_sum", lambda sieve, Q, term: reduction(sieve, Q - 1, term)
+            counting, "_q_sum", lambda tables, Q, term: reduction(tables, Q - 1, term)
         )
         assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_CHECK_FAILED
         assert "FAIL partition" in capsys.readouterr().out
 
     def test_table_budget_exit_2(self, monkeypatch, capsys):
-        # a sieve whose budget leaves no room for the q-tables of its counts
-        build = arith.build_spf_sieve
-        monkeypatch.setattr(
-            arith, "build_spf_sieve",
-            lambda limit: build(limit, memory_budget=4 * (limit + 1) + 1000),
-        )
-        assert cli.main(["count", "--kind", "star", "--B", "5000"]) == cli.EXIT_RESOURCE
+        # a budget with room for the q-tables of N*(5000) but not for the
+        # working arrays N_U(5000) needs beside them
+        monkeypatch.setattr(arith, "QTables", lambda: QTables(memory_budget=16 * 5001))
+        assert cli.main(["count", "--kind", "star", "--B", "5001"]) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == "" and "q-tables" in captured.err
+        assert cli.main(["count", "--kind", "star", "--B", "5000", "--no-timing"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "star,5000,3778310313216,,,0"
+        assert cli.main(["count", "--kind", "primitive", "--B", "5000"]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "q-tables" in captured.err
+
+    def test_counts_build_no_spf_table(self, monkeypatch, capsys):
+        # every count reads the q-tables alone; the SPF table belongs to the
+        # n-ordered oracles
+        commands = [
+            ["count", "--kind", "star", "--B", "3000"],
+            ["count", "--kind", "primitive", "--B", "3000"],
+            *(["table", "--kind", kind, "--bounds", "10,1000", "--prime-limit", "5000"]
+              for kind in ("S", "T", "N_star", "N_u")),
+            ["verify", "--suite", "telescope"],
+        ]
+        want = []
+        for argv in commands:
+            assert cli.main(argv + ["--no-timing"]) == cli.EXIT_OK, argv
+            want.append(capsys.readouterr().out)
+        # the oracle suite's output is known without running it twice
+        commands.append(["verify", "--suite", "oracle"])
+        want.append("".join(f"PASS oracle B={B}\n" for B in range(41)))
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("a count built an SPF table")
+
+        monkeypatch.setattr(arith, "build_spf_sieve", no_sieve)
+        monkeypatch.setattr(counting, "build_spf_sieve", no_sieve)
+        for argv, out in zip(commands, want):
+            assert cli.main(argv + ["--no-timing"]) == cli.EXIT_OK, argv
+            assert capsys.readouterr().out == out, argv

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from qpc import (
+    QTables,
     ResourceError,
     brute_force_primitive,
     brute_force_star,
-    build_spf_sieve,
     factorize,
     mobius,
     n_star,
     n_u,
     partition_witness,
+    r4_star,
     s_exact,
     square_divisor_weights,
     t_exact,
@@ -78,48 +79,50 @@ def naive_terms(sieve_small):
 
 
 class TestSExact:
-    def test_unit_row(self, sieve_small):
+    def test_unit_row(self, tables):
         for y in (1, 5, 10**9, Fraction(7, 3)):
-            assert s_exact(1, y, sieve_small) == 1
+            assert s_exact(1, y, tables) == 1
 
-    def test_spec_values(self, sieve_small):
-        assert s_exact(2, 4, sieve_small) == 5  # r4*(1)+r4*(1)+r4*(4)
-        assert s_exact(2, 16, sieve_small) == 8  # + r4*(16)=3
-        assert s_exact(3, 9, sieve_small) == 19
+    def test_spec_values(self, tables):
+        assert s_exact(2, 4, tables) == 5  # r4*(1)+r4*(1)+r4*(4)
+        assert s_exact(2, 16, tables) == 8  # + r4*(16)=3
+        assert s_exact(3, 9, tables) == 19
 
-    def test_zero_x(self, sieve_small):
-        assert s_exact(0, 100, sieve_small) == 0
+    def test_zero_x(self, tables):
+        assert s_exact(0, 100, tables) == 0
 
-    def test_rational_y_cutoff(self, sieve_small):
+    def test_rational_y_cutoff(self, tables):
         # d = 4 admitted exactly when y >= 4
-        assert s_exact(2, Fraction(15, 4), sieve_small) == 2
-        assert s_exact(2, Fraction(16, 4), sieve_small) == 5
+        assert s_exact(2, Fraction(15, 4), tables) == 2
+        assert s_exact(2, Fraction(16, 4), tables) == 5
+        # and S(x, y) = S(floor(x), y), since n is an integer
+        assert s_exact(Fraction(999, 2), 10**6, tables) == s_exact(499, 10**6, tables)
 
-    def test_against_naive(self, sieve_small, naive_terms):
+    def test_against_naive(self, tables, naive_terms):
         rng = random.Random(501)
         ys = [rng.randint(1, 500**4) for _ in range(6)] + [1, 3, 500**4]
         xs = list(range(1, 60)) + rng.sample(range(60, 501), 25)
         for y in ys:
             for x in xs:
-                assert s_exact(x, y, sieve_small) == naive_s(x, y, naive_terms), (x, y)
+                assert s_exact(x, y, tables) == naive_s(x, y, naive_terms), (x, y)
 
-    def test_saturation(self, sieve_small):
+    def test_saturation(self, tables):
         rng = random.Random(77)
         for x in rng.sample(range(1, 1001), 25):
-            base = s_exact(x, x**4, sieve_small)
-            assert s_exact(x, x**4 + 1, sieve_small) == base
-            assert s_exact(x, 7 * x**4, sieve_small) == base
+            base = s_exact(x, x**4, tables)
+            assert s_exact(x, x**4 + 1, tables) == base
+            assert s_exact(x, 7 * x**4, tables) == base
 
-    def test_monotone(self, sieve_small):
+    def test_monotone(self, tables):
         rng = random.Random(78)
         for _ in range(40):
             x = rng.randint(1, 800)
             y = rng.randint(1, x**4 + 10)
-            v = s_exact(x, y, sieve_small)
-            assert s_exact(x + 1, y, sieve_small) >= v
-            assert s_exact(x, y + rng.randint(1, 50), sieve_small) >= v
+            v = s_exact(x, y, tables)
+            assert s_exact(x + 1, y, tables) >= v
+            assert s_exact(x, y + rng.randint(1, 50), tables) >= v
 
-    def test_trivial_upper_bound(self, sieve_small):
+    def test_trivial_upper_bound(self, sieve_small, tables):
         # r4*(d) <= d tau(d) gives S(x,y) <= y * sum_{n<=x} tau(n^4)
         rng = random.Random(79)
         for _ in range(15):
@@ -131,70 +134,86 @@ class TestSExact:
                 for _, a in factorize(n, sieve_small).factors:
                     t *= 4 * a + 1
                 tau4 += t
-            assert s_exact(x, y, sieve_small) <= y * tau4
+            assert s_exact(x, y, tables) <= y * tau4
 
-    def test_resource_guard(self, sieve_small):
+    def test_resource_guard(self, sieve_small, tables):
+        # x is bounded only by the int64 per-q terms x // kappa(q): with
+        # y = 10 the sum runs over q | n^2 with q <= 3, against an n-ordered sum
+        weight = {q: r4_star(factorize(q * q, sieve_small)) for q in (1, 2, 3)}
+        x = 10**5
+        want = sum(w for n in range(1, x + 1) for q, w in weight.items() if n * n % q == 0)
+        assert s_exact(x, 10, tables) == want
+        x = 2**63 - 1
+        assert s_exact(x, 10, tables) == x + weight[2] * (x // 2) + weight[3] * (x // 3)
         with pytest.raises(ResourceError):
-            s_exact(10**5, 10, sieve_small)
+            s_exact(2**63, 10, tables)
 
 
 class TestTExact:
-    def test_spec_values(self, sieve_small):
-        assert t_exact(1, sieve_small) == 0
-        assert t_exact(2, sieve_small) == 1
-        assert t_exact(3, sieve_small) == 2
+    def test_spec_values(self, tables):
+        assert t_exact(1, tables) == 0
+        assert t_exact(2, tables) == 1
+        assert t_exact(3, tables) == 2
 
-    def test_against_naive(self, sieve_small, naive_terms):
+    def test_against_naive(self, tables, naive_terms):
         for B in range(1, 501):
-            assert t_exact(B, sieve_small) == naive_t(B, naive_terms), B
+            assert t_exact(B, tables) == naive_t(B, naive_terms), B
 
-    def test_degenerate(self, sieve_small):
-        assert t_exact(0, sieve_small) == 0
+    def test_degenerate(self, tables):
+        assert t_exact(0, tables) == 0
 
 
 class TestNStar:
-    def test_spec_values(self, sieve_small):
-        assert n_star(1, sieve_small) == 32
-        assert n_star(2, sieve_small) == 128
-        assert n_star(3, sieve_small) == 544
+    def test_spec_values(self, tables):
+        assert n_star(1, tables) == 32
+        assert n_star(2, tables) == 128
+        assert n_star(3, tables) == 544
 
-    def test_degenerate(self, sieve_small):
-        assert n_star(0, sieve_small) == 0
-        assert n_star(Fraction(1, 2), sieve_small) == 0
+    def test_degenerate(self, tables):
+        assert n_star(0, tables) == 0
+        assert n_star(Fraction(1, 2), tables) == 0
 
-    def test_rational_bounds(self, sieve_small):
-        assert n_star(Fraction(3, 2), sieve_small) == 32
+    def test_rational_bounds(self, tables):
+        assert n_star(Fraction(3, 2), tables) == 32
         # hand-checked: at bound 7/2 the admissible (n, q) pairs coincide
         # with those at bound 3, so the count is again 544
-        assert n_star(Fraction(7, 2), sieve_small) == 544
+        assert n_star(Fraction(7, 2), tables) == 544
 
-    def test_float_bounds_rejected(self, sieve_small):
+    def test_float_bounds_rejected(self, tables):
         # bounds are int or Fraction only; Fraction(2.5) would silently accept
         # a float, so the check has to stay explicit
         with pytest.raises(TypeError):
-            n_star(2.5, sieve_small)
+            n_star(2.5, tables)
         with pytest.raises(TypeError):
-            n_u(2.5, sieve_small)
+            n_u(2.5, tables)
         with pytest.raises(TypeError):
-            s_exact(3, 2.5, sieve_small)
-        assert n_star(Fraction(7, 2), sieve_small) == 544
+            s_exact(3, 2.5, tables)
+        # a float x would reach the sum as a float, and T at a rational
+        # bound is not T at its floor
+        with pytest.raises(TypeError):
+            s_exact(float(10**18 + 7), 10, tables)
+        with pytest.raises(TypeError):
+            t_exact(100.0, tables)
+        with pytest.raises(TypeError):
+            t_exact(Fraction(201, 2), tables)
+        assert n_star(Fraction(7, 2), tables) == 544
 
-    def test_monotone(self, sieve_small):
-        vals = [n_star(B, sieve_small) for B in range(0, 60)]
+    def test_monotone(self, tables):
+        vals = [n_star(B, tables) for B in range(0, 60)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestNU:
-    def test_spec_values(self, sieve_small):
-        assert n_u(1, sieve_small) == 32
-        assert n_u(2, sieve_small) == 96
-        assert n_u(3, sieve_small) == 480
+    def test_spec_values(self, tables):
+        assert n_u(1, tables) == 32
+        assert n_u(2, tables) == 96
+        assert n_u(3, tables) == 480
 
-    def test_scaling_identity(self, sieve_small):
+    def test_scaling_identity(self, tables):
         # N*(B) = sum_{k<=B} N_U(B/k): every tuple is k times a primitive one
         for B in range(1, 41):
-            total = sum(n_u(Fraction(B, k), sieve_small) for k in range(1, B + 1))
-            assert total == n_star(B, sieve_small), B
+            total = sum(n_u(Fraction(B, k), tables) for k in range(1, B + 1))
+            assert total == n_star(B, tables), B
 
 
 class TestBruteForceOracles:
@@ -214,58 +233,58 @@ class TestBruteForceOracles:
         with pytest.raises(ValueError):
             brute_force_primitive(41)
 
-    def test_star_matches_fast_path_to_25(self, sieve_small):
+    def test_star_matches_fast_path_to_25(self, tables):
         for B in range(0, 26):
-            assert brute_force_star(B) == n_star(B, sieve_small), B
+            assert brute_force_star(B) == n_star(B, tables), B
 
-    def test_primitive_matches_fast_path_to_25(self, sieve_small):
+    def test_primitive_matches_fast_path_to_25(self, tables):
         for B in range(0, 26):
-            assert brute_force_primitive(B) == n_u(B, sieve_small), B
+            assert brute_force_primitive(B) == n_u(B, tables), B
 
 
 class TestPartitionWitness:
-    def test_spec_values(self, sieve_small):
-        w = partition_witness(2, sieve_small)
+    def test_spec_values(self, tables):
+        w = partition_witness(2, tables)
         assert (w.s_part, w.t_part, w.n_star) == (5, 1, 128)
-        w = partition_witness(1, sieve_small)
+        w = partition_witness(1, tables)
         assert (w.s_part, w.t_part, w.n_star) == (1, 0, 32)
-        w = partition_witness(3, sieve_small)
+        w = partition_witness(3, tables)
         assert (w.s_part, w.t_part, w.n_star) == (19, 2, 544)
 
     def test_invariant_enforced(self):
         with pytest.raises(ArithmeticError):
             PartitionWitness(2, 5, 1, 129)
 
-    def test_sampled(self, sieve_small):
+    def test_sampled(self, tables):
         rng = random.Random(4)
         for B in rng.sample(range(1, 3000), 25):
-            partition_witness(B, sieve_small)  # raises on violation
+            partition_witness(B, tables)  # raises on violation
 
 
 class TestTelescoping:
-    def test_requires_b_at_least_10(self, sieve_small):
+    def test_requires_b_at_least_10(self, tables):
         with pytest.raises(ValueError):
-            telescoping_check(9, sieve_small)
+            telescoping_check(9, tables)
 
     @pytest.mark.parametrize("B", [10, 100, 1000])
-    def test_spec_bounds(self, sieve_small, B):
-        rep = telescoping_check(B, sieve_small)
+    def test_spec_bounds(self, tables, B):
+        rep = telescoping_check(B, tables)
         assert rep.lower_ok and rep.partition_ok
         assert rep.k0 >= 1
         assert rep.lower_bound_sum <= rep.t_value
 
-    def test_k0_definition(self, sieve_small):
+    def test_k0_definition(self, tables):
         # k0 minimal with delta^k0 < (log B)^-3
         B = 100
-        rep = telescoping_check(B, sieve_small)
+        rep = telescoping_check(B, tables)
         delta = 1 - 1 / math.log(B)
         thresh = math.log(B) ** -3
         assert delta**rep.k0 < thresh <= delta ** (rep.k0 - 1)
 
-    def test_sandwich_upper_witness(self, sieve_small):
+    def test_sandwich_upper_witness(self, tables):
         # T <= upper-shell sum + C B^3 for a modest witnessed C
         for B in (100, 1000):
-            rep = telescoping_check(B, sieve_small)
+            rep = telescoping_check(B, tables)
             c_witness = max(0, rep.t_value - rep.upper_bound_sum) / B**3
             assert c_witness < 50.0
 
@@ -275,14 +294,14 @@ class TestTelescoping:
 # ----------------------------------------------------------------------
 
 
-def t_window(sieve, a, c, B):
+def t_window(tables, a, c, B):
     """T(B) restricted to a < n <= c, as telescoping_check sums its shells."""
-    return counting._q_sum(sieve, *counting._t_terms(a, c, B))
+    return counting._q_sum(tables, *counting._t_terms(a, c, B))
 
 
-def s_window(sieve, a, c, Q):
+def s_window(tables, a, c, Q):
     """S restricted to a < n <= c and q <= Q, as telescoping_check sums its shells."""
-    return counting._q_sum(sieve, *counting._s_terms(a, c, Q))
+    return counting._q_sum(tables, *counting._s_terms(a, c, Q))
 
 
 @pytest.fixture(scope="module")
@@ -309,56 +328,56 @@ def oracle_n_star(b, terms):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_n_u_mertens_form_matches_mobius_sum(seed, sieve_small):
+def test_n_u_mertens_form_matches_mobius_sum(seed, sieve_small, tables):
     # the Mertens form against the Mobius sum it is derived from, one N*
     # pass per j, at integer and rational bounds up to about 5000
     rng = random.Random(seed)
     d = rng.randint(2, 10)
     for b in (rng.randint(1000, 5000), Fraction(rng.randint(1000 * d, 5000 * d), d)):
         nu = sum(
-            mobius(factorize(j, sieve_small)) * n_star(Fraction(b) / j, sieve_small)
+            mobius(factorize(j, sieve_small)) * n_star(Fraction(b) / j, tables)
             for j in range(1, math.floor(b) + 1)
         )
-        assert n_u(b, sieve_small) == nu, b
+        assert n_u(b, tables) == nu, b
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_kernel_matches_n_ordered_oracle(seed, sieve_small, divisor_terms):
+def test_kernel_matches_n_ordered_oracle(seed, sieve_small, tables, divisor_terms):
     rng = random.Random(seed)
     for _ in range(3):
         x = rng.randint(1, 2000)
         for y in (rng.randint(1, x**4), Fraction(rng.randint(1, x**4), rng.randint(2, 99))):
-            assert s_exact(x, y, sieve_small) == oracle_s(0, x, y, divisor_terms), (x, y)
+            assert s_exact(x, y, tables) == oracle_s(0, x, y, divisor_terms), (x, y)
     for _ in range(3):
         b = Fraction(rng.randint(1, 2000), rng.randint(1, 9))
-        assert n_star(b, sieve_small) == oracle_n_star(b, divisor_terms), b
+        assert n_star(b, tables) == oracle_n_star(b, divisor_terms), b
     b = Fraction(rng.randint(1, 300), rng.randint(1, 3))
     nu = sum(
         mobius(factorize(j, sieve_small)) * oracle_n_star(b / j, divisor_terms)
         for j in range(1, math.floor(b) + 1)
     )
-    assert n_u(b, sieve_small) == nu, b
+    assert n_u(b, tables) == nu, b
     for _ in range(3):
         c = rng.randint(1, 2000)
         a = rng.randint(0, c)
         B = rng.randint(c, 2000)
         y = rng.randint(1, c**4)
-        assert t_window(sieve_small, a, c, B) == oracle_t(a, c, B, divisor_terms), (a, c, B)
-        assert s_window(sieve_small, a, c, math.isqrt(y)) == oracle_s(
+        assert t_window(tables, a, c, B) == oracle_t(a, c, B, divisor_terms), (a, c, B)
+        assert s_window(tables, a, c, math.isqrt(y)) == oracle_s(
             a, c, y, divisor_terms
         ), (a, c, y)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_rational_bounds_count_as_their_floor(seed, sieve_small):
+def test_rational_bounds_count_as_their_floor(seed, tables):
     # q | n^2 with q <= b and n^2/q <= b are conditions on integers
     rng = random.Random(100 + seed)
     for i in range(9):
         d = rng.randint(2, 97)
         b = Fraction(rng.randint(1, 5000 * d), d)
-        assert n_star(b, sieve_small) == n_star(math.floor(b), sieve_small), b
+        assert n_star(b, tables) == n_star(math.floor(b), tables), b
         if i % 3 == 0:
-            assert n_u(b, sieve_small) == n_u(math.floor(b), sieve_small), b
+            assert n_u(b, tables) == n_u(math.floor(b), tables), b
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +402,7 @@ def pair_arrays(sieve_mid):
     return np.array(ns), np.array(qs), np.array(ws)
 
 
-def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid):
+def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid, tables):
     n, q, w = pair_arrays
     n2 = n * n
     # N*(b)/32 for every b <= max(EDGES): the pairs with max(q, n^2/q) <= b
@@ -402,36 +421,34 @@ def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid):
             "s_window": int(w[(n > a) & (n <= B) & (q <= B // 2)].sum()),
             "t_window": int(w[(n > a) & (n <= B) & (q * B < n2)].sum()),
         }
-        # a fresh sieve builds its tables to exactly B, so the last table
-        # block and the last reduction block both end at B; it may hold no
-        # multiple of some p <= isqrt(B)
+        # fresh tables are built to exactly B, so the last table block and
+        # the last reduction block both end at B; it may hold no multiple of
+        # some p <= isqrt(B)
         got = {}
         for kind in want:
-            sieve = build_spf_sieve(B)
+            fresh = QTables()
             got[kind] = {
-                "n_star": lambda: n_star(B, sieve),
-                "n_u": lambda: n_u(B, sieve),
-                "s": lambda: s_exact(B, B * B, sieve),
-                "t": lambda: t_exact(B, sieve),
-                "s_window": lambda: s_window(sieve, a, B, B // 2),
-                "t_window": lambda: t_window(sieve, a, B, B),
+                "n_star": lambda: n_star(B, fresh),
+                "n_u": lambda: n_u(B, fresh),
+                "s": lambda: s_exact(B, B * B, fresh),
+                "t": lambda: t_exact(B, fresh),
+                "s_window": lambda: s_window(fresh, a, B, B // 2),
+                "t_window": lambda: t_window(fresh, a, B, B),
             }[kind]()
         assert got == want, B
         # the same counts on tables grown past B by earlier calls
-        assert n_star(B, sieve_mid) == want["n_star"]
-        assert t_exact(B, sieve_mid) == want["t"]
+        assert n_star(B, tables) == want["n_star"]
+        assert t_exact(B, tables) == want["t"]
 
 
 @pytest.mark.parametrize("B", [1, 2, 3, 4])
 def test_tables_below_the_first_prime_square(B):
     # for B < 4 no prime is sieved, so q = 2 is a leftover prime and must
     # take r4*(4) = 3, not 2^2 + 2 + 1
-    sieve = build_spf_sieve(4)
-    assert n_star(B, sieve) == brute_force_star(B)
-    sieve = build_spf_sieve(4)
-    assert n_u(B, sieve) == brute_force_primitive(B)
-    sieve = build_spf_sieve(4)
-    assert 32 * (s_exact(B, B * B, sieve) - t_exact(B, sieve)) == brute_force_star(B)
+    assert n_star(B, QTables()) == brute_force_star(B)
+    assert n_u(B, QTables()) == brute_force_primitive(B)
+    fresh = QTables()
+    assert 32 * (s_exact(B, B * B, fresh) - t_exact(B, fresh)) == brute_force_star(B)
 
 
 def test_exact_dot_at_every_overflow_choice():
@@ -468,11 +485,22 @@ def test_float_isqrt_near_squares():
     assert counting._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
 
 
-def test_table_budget():
-    sieve = build_spf_sieve(1000, memory_budget=4 * 1001 + 16 * 1001)
-    assert n_star(1000, sieve) == n_star(1000, build_spf_sieve(1000))
+def test_table_budget(tables):
+    small = QTables(memory_budget=16 * 1001)
+    assert n_star(1000, small) == n_star(1000, tables)
     with pytest.raises(ResourceError):
-        s_exact(1000, 10**8, sieve)  # needs q up to 10^4
+        s_exact(1000, 10**8, small)  # needs q up to 10^4
     with pytest.raises(ResourceError):
-        s_exact(40, 10**12, sieve)  # needs q up to 40^2 = 1600
-    assert s_exact(40, 10**6, sieve) == s_exact(40, 10**6, build_spf_sieve(1000))
+        s_exact(40, 10**12, small)  # needs q up to 40^2 = 1600
+    assert s_exact(40, 10**6, small) == s_exact(40, 10**6, tables)
+
+
+def test_n_u_charges_its_arrays_to_the_table_budget(tables):
+    # room for the q-tables of N*(B) but not for the arrays of N_U(B)
+    B = 5000
+    small = QTables(memory_budget=16 * (B + 1) + 1000)
+    assert n_star(B, small) == n_star(B, tables)
+    with pytest.raises(ResourceError):
+        n_u(B, small)
+    roomy = QTables(memory_budget=(16 + counting.N_U_BYTES) * (B + 1))
+    assert n_u(B, roomy) == n_u(B, tables)

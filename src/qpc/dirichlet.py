@@ -119,8 +119,26 @@ _XW = (1, 0)  # truncate on X-degree only; Y-degree is 4*deg(X) + O(1) by constr
 _LOCAL_DEG_CAP = 200
 
 
-def _biv(coef: int, ex: int, ey: int, deg: int) -> TruncSeries:
-    return TruncSeries.monomial(coef, (ex, ey), max_degree=deg, weights=_XW)
+def _times_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
+    """f * (1 - a X Y^b) in one pass: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)]."""
+    c = dict(f.coeffs)
+    for (nu, mu), v in f.coeffs.items():
+        c[nu + 1, mu + b] = c.get((nu + 1, mu + b), 0) - a * v
+    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+
+
+def _over_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
+    """f / (1 - a X Y^b) by the recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)],
+    taken in ascending X-degree."""
+    rows = [{} for _ in range(f.max_degree + 1)]
+    for (nu, mu), v in f.coeffs.items():
+        rows[nu][mu] = v
+    for nu in range(1, len(rows)):
+        row = rows[nu]
+        for mu, v in rows[nu - 1].items():
+            row[mu + b] = row.get(mu + b, 0) + a * v
+    c = {(nu, mu): v for nu, row in enumerate(rows) for mu, v in row.items()}
+    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
 
 
 def _check_local_args(p: int, deg: int) -> None:
@@ -156,31 +174,28 @@ def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
 
         prod_{0<=j<=2} (1 - p^(2j) X Y^(2j))^-1
 
-    times the local correction G_p (odd p) or G_2."""
+    times the local correction G_p (odd p) or G_2.
+
+    The form is built as G's numerator times binomials 1 - a X Y^b, divided
+    by binomials, with no series inverse and no series product.  Multiplying
+    by a binomial moves each term once, and dividing by one is the
+    recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)] in ascending
+    X-degree, so each step costs O(terms), not the O(terms^2) of a dense
+    inverse and product."""
     _check_local_args(p, deg)
-    one = TruncSeries.constant(1, 2, max_degree=deg, weights=_XW)
-    zeta_part = one
-    for j in range(3):
-        zeta_part = zeta_part * (one - _biv(p ** (2 * j), 1, 2 * j, deg)).inverse()
     if p == 2:
-        g = (
-            (one + _biv(3, 1, 2, deg) + _biv(2, 1, 4, deg))
-            * (one - _biv(1, 1, 4, deg)).inverse()
-            * (one - _biv(4, 1, 2, deg))
-            * (one - _biv(16, 1, 4, deg))
-        )
+        numerator = {(0, 0): 1, (1, 2): 3, (1, 4): 2}
+        times = ((4, 2), (16, 4))
     else:
-        g = (
-            (
-                one
-                + _biv(p * p + p + 1, 1, 2, deg)
-                + _biv(p**3 + p * p + p, 1, 4, deg)
-                + _biv(p**3, 2, 6, deg)
-            )
-            * (one - _biv(p * p, 1, 2, deg))
-            * (one - _biv(1, 1, 4, deg)).inverse()
-        )
-    return zeta_part * g
+        numerator = {(0, 0): 1, (1, 2): p * p + p + 1, (1, 4): p**3 + p * p + p, (2, 6): p**3}
+        times = ((p * p, 2),)
+    f = TruncSeries(2, numerator, max_degree=deg, weights=_XW)
+    for a, b in times:
+        f = _times_binomial(f, a, b)
+    # over G's 1 - X Y^4, then the zeta-type factors j = 0, 1, 2
+    for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
+        f = _over_binomial(f, a, b)
+    return f
 
 
 # ----------------------------------------------------------------------

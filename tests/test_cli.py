@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qpc import QTables, arith, cli, counting
+from qpc import QTables, TruncSeries, arith, cli, counting, dirichlet
 
 QPC = [sys.executable, "-m", "qpc.cli"]
 
@@ -223,6 +223,15 @@ class TestGolden:
             "variant_ratio_chain_over_paper,1.3333333333333335,0\n"
             "residue_jacobian,0.25,0\n"
         ),
+        ("verify", "--suite", "local"): "".join(
+            f"PASS local_factor p={p} deg=30\n"
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                      53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+        ),
+        ("verify", "--suite", "formal"): (
+            "PASS formal_identity_1 series+cross-multiplied\n"
+            "PASS formal_identity_2 series+cross-multiplied\n"
+        ),
     }
 
     def test_stdout_matches_pinned_bytes(self):
@@ -270,6 +279,31 @@ class TestVerifySuitesEndToEnd:
         )
         assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_CHECK_FAILED
         assert "FAIL partition" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [2, 7])
+    def test_local_suite_fails_on_a_numerator_off_by_one(self, bad, monkeypatch, capsys):
+        # G_p's X Y^2 numerator coefficient one too large at p = bad.  The
+        # numerator enters linearly, so the sabotaged form is the true one
+        # plus X Y^2 times the same binomial factors.
+        closed_form = dirichlet.local_factor_closed_form
+
+        def skewed(p, deg=30):
+            if p != bad:
+                return closed_form(p, deg)
+            bump = TruncSeries.monomial(1, (1, 2), max_degree=deg, weights=(1, 0))
+            for a, b in ((4, 2), (16, 4)) if p == 2 else ((p * p, 2),):
+                bump = dirichlet._times_binomial(bump, a, b)
+            for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
+                bump = dirichlet._over_binomial(bump, a, b)
+            return closed_form(p, deg) + bump
+
+        monkeypatch.setattr(dirichlet, "local_factor_closed_form", skewed)
+        assert cli.main(["verify", "--suite", "local"]) == cli.EXIT_CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL local_factor p={bad} deg=30"
+        ]
+        assert sum(line.startswith("PASS") for line in lines) == 24
 
     def test_table_budget_exit_2(self, monkeypatch, capsys):
         # a budget with room for the q-tables of N*(5000) but not for the

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +19,7 @@ from qpc import (
     zeta,
     zeta_star,
 )
-from qpc.dirichlet import g_factor_2, g_factor_odd
+from qpc.dirichlet import _over_binomial, _times_binomial, g_factor_2, g_factor_odd
 
 mpmath.mp.dps = 40
 
@@ -109,6 +110,56 @@ class TestLocalFactors:
     def test_all_primes_to_100_deg12(self):
         for p in [int(q) for q in primes_up_to(100)]:
             assert local_factor_definition(p, 12) == local_factor_closed_form(p, 12), p
+
+    @pytest.mark.parametrize("p", [2, 3, 97])
+    def test_closed_form_matches_definition_deg100(self, p):
+        # a degree the dense inverse-and-product build could not afford
+        assert local_factor_definition(p, 100) == local_factor_closed_form(p, 100)
+
+    def test_closed_form_uses_no_dense_arithmetic(self, monkeypatch):
+        want = {p: local_factor_definition(p, 30) for p in (2, 3)}
+
+        def dense(*args):
+            raise AssertionError("the closed form called a dense series operation")
+
+        monkeypatch.setattr(TruncSeries, "inverse", dense)
+        monkeypatch.setattr(TruncSeries, "__mul__", dense)
+        monkeypatch.setattr(TruncSeries, "__rmul__", dense)
+        for p, series in want.items():
+            assert local_factor_closed_form(p, 30) == series
+
+
+def _random_xw_series(rng, deg):
+    """A random series in X, Y truncated at X-degree deg, with terms at every
+    X-degree and at least one exactly at deg."""
+    coeffs = {}
+    for nu in range(deg + 1):
+        for mu in rng.sample(range(4 * deg + 7), 3):
+            coeffs[nu, mu] = rng.randint(-9, 9)
+    coeffs[deg, rng.randrange(4 * deg + 7)] = rng.choice((-7, -1, 1, 5))
+    return TruncSeries(2, coeffs, max_degree=deg, weights=(1, 0))
+
+
+class TestBinomialHelpers:
+    # the oracle is the dense route: a series product and TruncSeries.inverse
+
+    @pytest.mark.parametrize("deg", [0, 1, 2, 6])
+    def test_match_the_dense_route(self, deg):
+        rng = random.Random(800 + deg)
+        one = TruncSeries.constant(1, 2, max_degree=deg, weights=(1, 0))
+        for a in (1, -1, 3**2, 3**4, 97**2, 97**4):
+            for b in (0, 2, 4):
+                binomial = one - TruncSeries.monomial(a, (1, b), max_degree=deg, weights=(1, 0))
+                for _ in range(3):
+                    f = _random_xw_series(rng, deg)
+                    for got, want in (
+                        (_times_binomial(f, a, b), f * binomial),
+                        (_over_binomial(f, a, b), f * binomial.inverse()),
+                    ):
+                        assert got == want, (a, b)
+                        # no stored zero and no missing term
+                        assert got.coeffs == want.coeffs, (a, b)
+                        assert (got.max_degree, got.weights) == (deg, (1, 0))
 
 
 class TestFormalIdentities:

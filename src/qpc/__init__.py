@@ -7,9 +7,7 @@ from .arith import (
     QTables,
     build_spf_sieve,
     factorize,
-    mertens_table,
     mobius,
-    mobius_table,
     primes_up_to,
     r4,
     r4_star,

@@ -7,15 +7,14 @@ two arithmetic primitives defined here:
 
 so that 8*r4*(d) counts representations of d as a sum of four squares, and
 smallest-prime-factor (SPF) factorization for the n-ordered oracles.  The
-counts read only three q-indexed tables, g(q) = r4*(q^2), the squarefree
-part s(q) of q and kappa(q), which a segmented sieve builds block by block
-(QTables.upto).
+counts read only three q-indexed tables, g(q) = r4*(q^2), kappa(q) and the
+Mobius function mu(q), which one segmented sieve builds block by block
+(QTables.upto); the squarefree part of q is kappa(q)^2 / q.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,21 @@ import numpy as np
 from .errors import ResourceError
 
 DEFAULT_SIEVE_LIMIT = 10**7
-# Default caps, in bytes, of an SPF table and of the q-tables, which take 16
-# bytes per q (g as int64, s and kappa as int32) beside a count's own arrays.
+# Default caps, in bytes, of an SPF table and of the q-tables, which take 13
+# bytes per q (g as int64, kappa as int32, mu as int8) beside a count's own
+# arrays.
 DEFAULT_MEMORY_BUDGET = 1 << 29
-Q_TABLE_BYTES = 16
+Q_TABLE_BYTES = 13
 # The q-tables are built, and the counts reduced, Q_BLOCK q at a time, so
 # the temporaries of a pass stay O(Q_BLOCK) whatever its range.
 Q_BLOCK = 1 << 14
 # Below this cap g(q) = r4*(q^2) <= sigma(q^2) < 7 q^2 < 2^55 fits an int64
 # (q^2 < 2^52 has at most 13 distinct primes, so sigma(q^2)/q^2 is below
-# prod_{p <= 41} p/(p-1) < 6.9), and s(q), kappa(q) <= q fit an int32.
+# prod_{p <= 41} p/(p-1) < 6.9), kappa(q) <= q fits an int32, and products
+# such as kappa(q)^2 and B q for B, q below it stay under 2^52.
 Q_TABLE_CAP = 1 << 26
+# The q-tables before their first build: entry 0 alone, read-only.
+_NO_TABLES = tuple(np.broadcast_to(dtype(0), 1) for dtype in (np.int64, np.int32, np.int8))
 
 
 @dataclass(frozen=True)
@@ -98,27 +101,27 @@ class SpfSieve:
 class QTables:
     """The q-tables of the counts, built on first use and grown by upto."""
 
-    __slots__ = ("memory_budget", "_g", "_s", "_k")
+    __slots__ = ("memory_budget", "_tables")
 
     def __init__(self, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.memory_budget = memory_budget
-        self._g = np.zeros(1, dtype=np.int64)
-        self._s = np.zeros(1, dtype=np.int32)
-        self._k = np.zeros(1, dtype=np.int32)
+        self._tables = _NO_TABLES
 
     def upto(self, n: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g, s, k) covering at least 0 <= q <= n, as read-only arrays:
-        g[q] = r4*(q^2) as int64, s[q] the squarefree part of q and
-        k[q] = kappa(q) = prod p^ceil(a/2) over p^a || q as int32; with
-        q = s u^2, s squarefree, kappa(q) = s u.  Entry 0 is unused.
+        """(g, k, mu) covering at least 0 <= q <= n, as read-only arrays:
+        g[q] = r4*(q^2) as int64, k[q] = kappa(q) = prod p^ceil(a/2) over
+        p^a || q as int32 and mu[q] the Mobius function as int8.  Entry 0 is
+        0 in each, so cumsum(mu) is the Mertens function.  With q = s u^2, s
+        squarefree, kappa(q) = s u, so s = kappa^2 / q and u = q / kappa.
 
-        A call that needs more grows them to max(n, 2 * current) entries,
-        sieving only the new q, within memory_budget less the spare bytes
-        the caller needs beside them, and below Q_TABLE_CAP.  Raises
-        ResourceError when the tables covering n and the spare bytes do
-        not fit.
+        A call that needs more drops the tables and sieves them afresh to
+        max(n, 2 * current) entries, within memory_budget less the spare
+        bytes the caller needs beside them, and below Q_TABLE_CAP: one set
+        of tables is held at a time, and doubling keeps the total sieving
+        below twice the final build.  Raises ResourceError when the tables
+        covering n and the spare bytes do not fit.
         """
-        have = len(self._g) - 1
+        have = len(self._tables[0]) - 1
         cap = min(Q_TABLE_CAP, (self.memory_budget - spare) // Q_TABLE_BYTES) - 1
         need = max(n, have)
         if need > cap:
@@ -127,28 +130,28 @@ class QTables:
                 f"{spare} for the count; budget is {self.memory_budget}"
             )
         if n <= have:
-            return self._g, self._s, self._k
+            return self._tables
         top = max(n, min(2 * have, cap))
+        self._tables = _NO_TABLES
         tables = (
             np.empty(top + 1, dtype=np.int64),
             np.empty(top + 1, dtype=np.int32),
-            np.empty(top + 1, dtype=np.int32),
+            np.empty(top + 1, dtype=np.int8),
         )
-        for new, old in zip(tables, (self._g, self._s, self._k)):
-            new[: have + 1] = old
         plan = _prime_plan(top)
-        for lo in range(have + 1, top + 1, Q_BLOCK):
+        for lo in range(1, top + 1, Q_BLOCK):
             block = slice(lo, min(lo + Q_BLOCK, top + 1))
             _q_table_block(lo, plan, *(new[block] for new in tables))
         for new in tables:
+            new[0] = 0
             new.setflags(write=False)
-        self._g, self._s, self._k = tables
+        self._tables = tables
         return tables
 
 
-def _prime_plan(top: int) -> list[tuple[int, np.ndarray, ...]]:
+def _prime_plan(top: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """For each prime p <= isqrt(top): p and, indexed by a = 0..log_p(top),
-    int64 arrays of p^a, r4*(p^(2a)), p^(a mod 2) and p^ceil(a/2)."""
+    arrays of p^a, r4*(p^(2a)) and p^ceil(a/2) (int64) and mu(p^a) (int8)."""
     plan = []
     for p in primes_up_to(math.isqrt(top)).tolist():
         amax = 1
@@ -161,14 +164,14 @@ def _prime_plan(top: int) -> list[tuple[int, np.ndarray, ...]]:
             p,
             np.array([p**a for a in exps], dtype=np.int64),
             np.array(local, dtype=np.int64),
-            np.array([p if a % 2 else 1 for a in exps], dtype=np.int64),
             np.array([p ** ((a + 1) // 2) for a in exps], dtype=np.int64),
+            np.array([1, -1] + [0] * (amax - 1), dtype=np.int8),
         ))
     return plan
 
 
-def _q_table_block(lo: int, plan, g: np.ndarray, s: np.ndarray, k: np.ndarray) -> None:
-    """Fill g, s and k with r4*(q^2), s(q) and kappa(q) for lo <= q < hi =
+def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) -> None:
+    """Fill g, k and mu with r4*(q^2), kappa(q) and mu(q) for lo <= q < hi =
     lo + len(g), in place.
 
     A segmented sieve (Bays & Hudson, BIT 17, 1977) over the primes of
@@ -176,13 +179,14 @@ def _q_table_block(lo: int, plan, g: np.ndarray, s: np.ndarray, k: np.ndarray) -
     each multiple of p in the block is 1 plus one for each power p^k that
     divides it, counted on the strided slices of the multiples of p^k.  The
     cofactor left above 1 is a single prime P > isqrt(hi - 1), which puts
-    r4*(P^2) = P^2 + P + 1 into g (3 when P = 2) and P into s and kappa.
+    r4*(P^2) = P^2 + P + 1 into g (3 when P = 2), P into kappa and flips
+    the sign of mu.
     """
     hi = lo + len(g)
     rest = np.arange(lo, hi, dtype=np.int64)
-    for out in (g, s, k):
+    for out in (g, k, mu):
         out.fill(1)
-    for p, powers, local, odd, half in plan:
+    for p, powers, local, half, sign in plan:
         first = -(-lo // p) * p
         # empty when a short trailing block holds no multiple of p
         a = np.ones((hi - 1 - first) // p + 1, dtype=np.intp)
@@ -196,13 +200,13 @@ def _q_table_block(lo: int, plan, g: np.ndarray, s: np.ndarray, k: np.ndarray) -
         sl = slice(first - lo, None, p)
         rest[sl] //= powers[a]
         g[sl] *= local[a]
-        s[sl] *= odd[a]
         k[sl] *= half[a]
+        mu[sl] *= sign[a]
     big = rest > 1
     P = rest[big]
     g[big] *= np.where(P == 2, 3, P * P + P + 1)
-    s[big] *= P
     k[big] *= P
+    np.negative(mu, out=mu, where=big)
 
 
 def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfSieve:
@@ -260,45 +264,6 @@ def mobius(n: FactoredInteger) -> int:
         if a > 1:
             return 0
     return -1 if len(n.factors) % 2 else 1
-
-
-def mobius_table(limit: int) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit as a C-int numpy array, with mu[0] = 0.
-
-    One prime sieve over mu[n] = n: every prime p <= isqrt(limit) divides
-    its multiples by -p and zeroes the multiples of p^2.  A squarefree n is
-    left holding +-(its cofactor above isqrt(limit)), which is 1 or a single
-    prime; the sign counts the small primes, and a prime cofactor flips it
-    once more.  Entries stay within [-limit, limit], and the limit is
-    checked against the 4-byte entry.
-
-    arith.mobius(FactoredInteger) is the per-integer oracle of this table.
-    """
-    if not 1 <= limit < 2**31 - 1:
-        raise ValueError(f"limit must be in [1, 2^31 - 1), got {limit}")
-    mu = np.arange(limit + 1, dtype=np.intc)
-    for p in primes_up_to(math.isqrt(limit)).tolist():
-        mu[p::p] //= -p
-        mu[p * p :: p * p] = 0
-    prime_cofactor = mu > 1
-    prime_cofactor |= mu < -1
-    np.sign(mu, out=mu)
-    np.negative(mu, out=mu, where=prime_cofactor)
-    return mu
-
-
-def mertens_table(limit: int) -> array:
-    """M(x) = sum_{n <= x} mu(n) for 0 <= x <= limit, as array('i').
-
-    The cumulative sum of mobius_table(limit), kept at 4 bytes per entry:
-    |M(x)| <= x <= limit < 2^31, so the C int cannot overflow.  Indexing
-    the array yields Python ints, so sums over it stay exact.
-    """
-    mu = mobius_table(limit)
-    np.cumsum(mu, out=mu)
-    out = array("i")
-    out.frombytes(memoryview(mu).cast("B"))
-    return out
 
 
 def square_divisor_weights(factors) -> list[tuple[int, int]]:

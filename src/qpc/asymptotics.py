@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import QTables, mobius_table, primes_up_to
+from .arith import QTables, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
 from .dirichlet import _g_value, zeta, zeta_star
 from .errors import DomainError, UnstableDifferentiationError
@@ -75,7 +75,7 @@ def prime_zeta(s: float) -> float:
     """P(s) = sum_p p^-s for s > 1, via sum_r mu(r)/r * log zeta(r s)."""
     if s <= 1.0:
         raise DomainError("prime_zeta requires s > 1")
-    mu = mobius_table(127).tolist()
+    mu = QTables().upto(127)[2].tolist()
     total = 0.0
     for r in range(1, 128):
         lz = math.log(zeta(r * s).value)

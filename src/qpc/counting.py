@@ -23,8 +23,10 @@ for M the Mertens function: the last is the Mobius sum with j innermost,
 since the pair (q, n = kappa(q) m) lies in N*(B/j) exactly when
 j <= min(B // q, B // (s m^2)), and the minimum is B // q for m <= u.
 
-Each count takes an arith.QTables and is one reduction (_q_sum) of g
-against a per-q term over its tables, block by block: the terms are int64
+Each count takes an arith.QTables, whose tables are g, kappa and mu: s and
+u are the exact quotients kappa^2 / q and q / kappa, and M is the
+cumulative sum of mu.  A count is one reduction (_q_sum) of g against a
+per-q term over the tables, block by block: the terms are int64
 numpy arrays, and each block's dot product is taken in int64 only where
 an overflow bound proves it exact (_exact_dot); the block sums are added
 as Python integers.  The n-ordered divisor enumeration
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Q_BLOCK, QTables, build_spf_sieve, mertens_table, square_divisor_weights
+from .arith import Q_BLOCK, QTables, build_spf_sieve, square_divisor_weights
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -51,7 +53,7 @@ SIGN_FACTOR = 32
 # Bytes per q that n_u allocates beside the q-tables, charged to their
 # budget: M(0..B) and tail as C ints, the int64 indices of the squarefree s
 # (6/pi^2 of all q) and the temporaries of the sum over m.  The traced peak
-# is 16.8 bytes per q at B = 10^6 and 3*10^6.
+# is 16.5 bytes per q at B = 10^6 and 3*10^6.
 N_U_BYTES = 17
 
 
@@ -148,22 +150,29 @@ def _exact_dot(g: np.ndarray, t: np.ndarray) -> int:
 
 
 def _q_sum(tables: QTables, Q: int, term) -> int:
-    """sum_{q <= Q} g(q) * term(block, s, k), exactly.
+    """sum_{q <= Q} g(q) * term(block, q, k), exactly.
 
     term maps one block of at most Q_BLOCK consecutive q, given as a slice
-    and as int64 arrays of s = s(q) and k = kappa(q), to an int64 array of
-    the per-q count.
+    and as int64 arrays of q and k = kappa(q), to an int64 array of the
+    per-q count.
     """
     if Q < 1:
         return 0
-    g_all, s_all, k_all = tables.upto(Q)
+    g_all, k_all, _ = tables.upto(Q)
     total = 0
     for lo in range(1, Q + 1, Q_BLOCK):
-        block = slice(lo, min(lo + Q_BLOCK, Q + 1))
-        s = s_all[block].astype(np.int64)
+        hi = min(lo + Q_BLOCK, Q + 1)
+        block = slice(lo, hi)
+        q = np.arange(lo, hi, dtype=np.int64)
         k = k_all[block].astype(np.int64)
-        total += _exact_dot(g_all[block], term(block, s, k))
+        total += _exact_dot(g_all[block], term(block, q, k))
     return total
+
+
+def _b_over_s(B: int, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """B // s(q) for int64 arrays q and k = kappa(q), as (B q) // kappa^2:
+    s = kappa^2 / q exactly, and B q < 2^52 for B, q < arith.Q_TABLE_CAP."""
+    return (B * q) // (k * k)
 
 
 def _s_terms(a: int, c: int, Q: int):
@@ -171,8 +180,8 @@ def _s_terms(a: int, c: int, Q: int):
     of _q_sum: each q counts the multiples of kappa(q) in (a, c].  Only
     q <= c^2 can count, since kappa(q)^2 >= q."""
     if a == 0:
-        return min(Q, c * c), lambda block, s, k: c // k
-    return min(Q, c * c), lambda block, s, k: c // k - a // k
+        return min(Q, c * c), lambda block, q, k: c // k
+    return min(Q, c * c), lambda block, q, k: c // k - a // k
 
 
 def _t_terms(a: int, c: int, B: int):
@@ -180,7 +189,7 @@ def _t_terms(a: int, c: int, B: int):
     each q <= B counts the multiples of kappa(q) in (max(a, isqrt(q B)), c],
     and isqrt(q B) // kappa(q) = isqrt(B // s(q)).  Only q <= c^2 can count."""
     return min(B, c * c), (
-        lambda block, s, k: np.maximum(c // k - np.maximum(a // k, _isqrt(B // s)), 0)
+        lambda block, q, k: np.maximum(c // k - np.maximum(a // k, _isqrt(_b_over_s(B, q, k))), 0)
     )
 
 
@@ -201,15 +210,16 @@ def s_exact(x, y, tables: QTables) -> int:
     """S(x, y): sum over n <= x, d | n^4 with d <= y and n^4/d square, of r4*(d).
 
     x and y may be ints or Fractions: S(x, y) = S(floor(x), y) as n is an
-    integer, and d = q^2 <= y is q <= isqrt(floor(y)).  Raises ResourceError
-    for x >= 2^63, beyond the int64 per-q terms x // kappa(q).
+    integer, and d = q^2 <= y is q <= isqrt(floor(y)); y < 1 admits no d.
+    Raises ResourceError for x >= 2^63, beyond the int64 per-q terms
+    x // kappa(q).
     """
     x = _floor(x)
     if x < 1:
         return 0
     if x > _INT64_MAX:
         raise ResourceError(f"S(x, y) needs x < 2^63, got x = {x}")
-    return _q_sum(tables, *_s_terms(0, x, math.isqrt(_floor(y))))
+    return _q_sum(tables, *_s_terms(0, x, math.isqrt(max(_floor(y), 0))))
 
 
 def t_exact(B: int, tables: QTables) -> int:
@@ -236,7 +246,7 @@ def n_star(bound, tables: QTables) -> int:
     B = _floor(bound)
     if B < 1:
         return 0
-    return SIGN_FACTOR * _q_sum(tables, B, lambda block, s, k: _isqrt(B // s))
+    return SIGN_FACTOR * _q_sum(tables, B, lambda block, q, k: _isqrt(_b_over_s(B, q, k)))
 
 
 def n_u(bound, tables: QTables) -> int:
@@ -247,28 +257,29 @@ def n_u(bound, tables: QTables) -> int:
 
         N_U(B)/32 = sum_{q<=B} g(q) (u M(B // q) + sum_{m>u} M(B // (s m^2)))
 
-    for q = s u^2, s squarefree: O(B) work over the q-tables and a table of
-    M(0..B).  bound may be an int or a Fraction, and N_U(b) = N_U(floor(b)):
-    N*(b/j) = N*(floor(b/j)) = N*(floor(floor(b)/j)) for every j (see n_star).
+    for q = s u^2, s squarefree: O(B) work over the q-tables and M(0..B),
+    the cumulative sum of their mu.  bound may be an int or a Fraction, and
+    N_U(b) = N_U(floor(b)): N*(b/j) = N*(floor(b/j)) = N*(floor(floor(b)/j))
+    for every j (see n_star).
     Its working arrays take N_U_BYTES per q of the tables' memory budget.
     """
     B = _floor(bound)
     if B < 1:
         return 0
-    s_all = tables.upto(B, spare=N_U_BYTES * (B + 1))[1]
-    mertens = np.frombuffer(mertens_table(B), dtype=np.intc)
+    mu = tables.upto(B, spare=N_U_BYTES * (B + 1))[2][: B + 1]
+    # |M(x)| <= x <= B < 2^31
+    mertens = np.cumsum(mu, dtype=np.intc)
     # tail[s u^2] = sum_{m>u} M(B // (s m^2)), summed downwards over m for
-    # all squarefree s at once; |M(x)| <= x, so |tail| <= sum_{m>=2} B/m^2 < B < 2^31
-    squarefree = np.flatnonzero(s_all[1 : B + 1] == np.arange(1, B + 1)) + 1
+    # all squarefree s at once; |tail| <= sum_{m>=2} B/m^2 < B < 2^31
+    squarefree = np.flatnonzero(mu)
     tail = np.zeros(B + 1, dtype=np.intc)
     for m in range(math.isqrt(B), 1, -1):
         sf = squarefree[: np.searchsorted(squarefree, B // (m * m), side="right")]
         hi = sf * (m * m)
         tail[sf * ((m - 1) * (m - 1))] = tail[hi] + mertens[B // hi]
 
-    def term(block, s, k):
-        u = k // s
-        return u * mertens[B // (k * u)] + tail[block]  # q = kappa u
+    def term(block, q, k):
+        return q // k * mertens[B // q] + tail[block]  # u = q / kappa
 
     return SIGN_FACTOR * _q_sum(tables, B, term)
 

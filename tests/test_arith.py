@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from qpc import (
     ResourceError,
     build_spf_sieve,
     factorize,
-    mertens_table,
     mobius,
-    mobius_table,
     primes_up_to,
     r4,
     r4_star,
     square_divisor_weights,
 )
+from qpc.arith import Q_BLOCK, Q_TABLE_BYTES
 from conftest import divisors_from_factors, r4_star_divisor_oracle
 
 
@@ -62,26 +62,59 @@ class TestQTables:
     def test_against_factorization_while_growing(self, sieve_small):
         # tables grow to max(n, 2 * current): 1, 2, 4, 9, 5000, 10000
         tables = QTables()
-        sizes = []
+        stages = []
         for n in (1, 2, 3, 9, 5000, 5001):
-            g, s, k = tables.upto(n)
-            sizes.append(len(g) - 1)
-            assert len(s) == len(k) == len(g)
-            assert not (g.flags.writeable or s.flags.writeable or k.flags.writeable)
-        assert sizes == [1, 2, 4, 9, 5000, 10000]
+            stages.append(tables.upto(n))
+        g, k, mu = stages[-1]
+        assert [len(stage[0]) - 1 for stage in stages] == [1, 2, 4, 9, 5000, 10000]
+        for stage in stages:
+            assert [a.dtype for a in stage] == [np.int64, np.int32, np.int8]
+            assert len({len(a) for a in stage}) == 1
+            assert not any(a.flags.writeable for a in stage)
+            assert [int(a[0]) for a in stage] == [0, 0, 0]
+            top = len(stage[0])
+            assert all(np.array_equal(a, b[:top]) for a, b in zip(stage, stages[-1]))
         for q in range(1, 10**4 + 1):
-            fac = factorize(q, sieve_small).factors
-            squared = FactoredInteger(q * q, tuple((p, 2 * a) for p, a in fac))
-            squarefree = math.prod(p for p, a in fac if a % 2)
-            kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac)
-            assert (int(g[q]), int(s[q]), int(k[q])) == (r4_star(squared), squarefree, kappa), q
+            fac = factorize(q, sieve_small)
+            squared = FactoredInteger(q * q, tuple((p, 2 * a) for p, a in fac.factors))
+            kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac.factors)
+            assert (int(g[q]), int(k[q]), int(mu[q])) == (r4_star(squared), kappa, mobius(fac)), q
+            # the squarefree part of q is kappa^2 / q
+            assert kappa * kappa // q == math.prod(p for p, a in fac.factors if a % 2), q
+
+    def test_every_size_agrees_with_the_largest(self):
+        # a fresh build to each n <= 300 sieves with the primes up to isqrt(n)
+        # only, so its leftover cofactors differ from the largest build's
+        largest = QTables().upto(300)
+        for n in range(1, 301):
+            tables = QTables().upto(n)
+            assert len(tables[0]) == n + 1
+            for a, b in zip(tables, largest):
+                assert np.array_equal(a, b[: n + 1]), n
 
     def test_growth_stops_at_the_budget(self):
-        tables = QTables(memory_budget=16 * 1001)
+        tables = QTables(memory_budget=Q_TABLE_BYTES * 1001)
         assert len(tables.upto(600)[0]) == 601
         assert len(tables.upto(601)[0]) == 1001  # not 1200
         with pytest.raises(ResourceError):
             tables.upto(1001)
+
+    def test_growth_holds_one_set_of_tables(self):
+        # growing drops the old tables before it sieves the new ones, so the
+        # traced peak stays within the budget plus the temporaries of one
+        # block; holding both sets would add Q_TABLE_BYTES * n more
+        n = 3 * 10**5
+        budget = Q_TABLE_BYTES * (2 * n + 1)
+        tracemalloc.start()
+        try:
+            tables = QTables(memory_budget=budget)
+            tables.upto(n)
+            tracemalloc.reset_peak()
+            assert len(tables.upto(n + 1)[0]) == 2 * n + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 64 * Q_BLOCK
 
 
 class TestFactorize:
@@ -206,35 +239,25 @@ class TestMobius:
 
 
 class TestMobiusTable:
+    # mu is the third column of the q-tables; M is its cumulative sum
     def test_matches_per_integer_mobius(self, sieve_small):
-        mu = mobius_table(10**4)
+        mu = QTables().upto(10**4)[2]
         assert len(mu) == 10**4 + 1 and mu[0] == 0
         for n in range(1, 10**4 + 1):
             assert int(mu[n]) == mobius(factorize(n, sieve_small)), n
 
-    def test_every_limit_agrees_with_the_largest(self):
-        mu = mobius_table(300).tolist()
-        for limit in range(1, 301):
-            assert mobius_table(limit).tolist() == mu[: limit + 1], limit
-
     def test_mertens_known_values(self):
-        M = mertens_table(10**4)
+        M = np.cumsum(QTables().upto(10**4)[2], dtype=np.intc)
         assert M.itemsize == 4 and len(M) == 10**4 + 1
-        assert (M[0], M[1], M[10], M[100], M[1000], M[10**4]) == (0, 1, -1, 1, 2, -23)
-        assert type(M[10]) is int
+        assert [int(M[x]) for x in (0, 1, 10, 100, 1000, 10**4)] == [0, 1, -1, 1, 2, -23]
 
     def test_mertens_is_cumulative_mu(self):
-        mu = mobius_table(5000).tolist()
-        M = mertens_table(5000)
+        mu = QTables().upto(5000)[2]
+        M = np.cumsum(mu, dtype=np.intc)
         running = 0
         for x in range(5001):
-            running += mu[x]
-            assert M[x] == running, x
-
-    def test_bad_limits(self):
-        for limit in (0, -1, 2**31 - 1):
-            with pytest.raises(ValueError):
-                mobius_table(limit)
+            running += int(mu[x])
+            assert int(M[x]) == running, x
 
 
 class TestSquareDivisorPairs:

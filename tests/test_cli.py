@@ -211,6 +211,15 @@ class TestGolden:
             "N_u,100,17994976,10948158.551399056,1.6436532148778973,0\n"
             "N_u,9170,21027432745824,16725304899224.131,1.257222685775937,0\n"
         ),
+        # counts over several table and reduction blocks
+        ("count", "--kind", "star", "--B", "100000", "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "star,100000,39224170662221696,,,0\n"
+        ),
+        ("count", "--kind", "primitive", "--B", "100000", "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "primitive,100000,33027727982076960,,,0\n"
+        ),
         ("constant", "--prime-limit", "5000"): (
             "name,value,error_bound\n"
             "C4,0.22326446640879782,7.8893922595427557e-12\n"
@@ -308,7 +317,8 @@ class TestVerifySuitesEndToEnd:
     def test_table_budget_exit_2(self, monkeypatch, capsys):
         # a budget with room for the q-tables of N*(5000) but not for the
         # working arrays N_U(5000) needs beside them
-        monkeypatch.setattr(arith, "QTables", lambda: QTables(memory_budget=16 * 5001))
+        budget = arith.Q_TABLE_BYTES * 5001
+        monkeypatch.setattr(arith, "QTables", lambda: QTables(memory_budget=budget))
         assert cli.main(["count", "--kind", "star", "--B", "5001"]) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == "" and "q-tables" in captured.err

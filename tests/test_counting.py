@@ -22,7 +22,7 @@ from qpc import (
     telescoping_check,
 )
 from qpc import counting
-from qpc.arith import Q_BLOCK
+from qpc.arith import Q_BLOCK, Q_TABLE_BYTES
 from qpc.counting import PartitionWitness
 from conftest import divisors_from_factors, r4_star_divisor_oracle
 
@@ -90,6 +90,11 @@ class TestSExact:
 
     def test_zero_x(self, tables):
         assert s_exact(0, 100, tables) == 0
+
+    def test_y_below_one(self, tables):
+        # no d >= 1 has d <= y
+        for y in (-1, Fraction(-1, 2), 0, Fraction(1, 2), -(10**30)):
+            assert s_exact(5, y, tables) == 0, y
 
     def test_rational_y_cutoff(self, tables):
         # d = 4 admitted exactly when y >= 4
@@ -486,7 +491,7 @@ def test_float_isqrt_near_squares():
 
 
 def test_table_budget(tables):
-    small = QTables(memory_budget=16 * 1001)
+    small = QTables(memory_budget=Q_TABLE_BYTES * 1001)
     assert n_star(1000, small) == n_star(1000, tables)
     with pytest.raises(ResourceError):
         s_exact(1000, 10**8, small)  # needs q up to 10^4
@@ -498,9 +503,9 @@ def test_table_budget(tables):
 def test_n_u_charges_its_arrays_to_the_table_budget(tables):
     # room for the q-tables of N*(B) but not for the arrays of N_U(B)
     B = 5000
-    small = QTables(memory_budget=16 * (B + 1) + 1000)
+    small = QTables(memory_budget=Q_TABLE_BYTES * (B + 1) + 1000)
     assert n_star(B, small) == n_star(B, tables)
     with pytest.raises(ResourceError):
         n_u(B, small)
-    roomy = QTables(memory_budget=(16 + counting.N_U_BYTES) * (B + 1))
+    roomy = QTables(memory_budget=(Q_TABLE_BYTES + counting.N_U_BYTES) * (B + 1))
     assert n_u(B, roomy) == n_u(B, tables)

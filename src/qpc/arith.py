@@ -22,9 +22,9 @@ import numpy as np
 from .errors import ResourceError
 
 DEFAULT_SIEVE_LIMIT = 10**7
-# Default caps, in bytes, of an SPF table and of the q-tables, which take 13
-# bytes per q (g as int64, kappa as int32, mu as int8) beside a count's own
-# arrays.
+# Default caps, in bytes, of an SPF table, of a prime list and of the
+# q-tables, which take 13 bytes per q (g as int64, kappa as int32, mu as
+# int8) beside a count's own arrays.
 DEFAULT_MEMORY_BUDGET = 1 << 29
 Q_TABLE_BYTES = 13
 # The q-tables are built, and the counts reduced, Q_BLOCK q at a time, so
@@ -289,9 +289,20 @@ def square_divisor_weights(factors) -> list[tuple[int, int]]:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty for limit < 2)."""
+    """All primes <= limit as an int64 array (empty for limit < 2).
+
+    Raises ResourceError, before allocating, when 5*(limit+1) bytes exceed
+    DEFAULT_MEMORY_BUDGET: the mask takes one byte per entry, and `qpc
+    constant`, which takes Euler products over the primes, peaks at 4.4
+    bytes per entry at limit 10^6 and 3.7 at 10^7 (tracemalloc).
+    """
     if limit < 2:
         return np.array([], dtype=np.int64)
+    need = 5 * (limit + 1)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceError(
+            f"primes up to {limit} need {need} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
+        )
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

@@ -397,65 +397,49 @@ def brute_force_primitive(B: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _dyadic_bracket(x, bits: int = 160) -> tuple[Fraction, Fraction]:
-    """Enclose an mpmath float in a dyadic Fraction interval of width 3*2^-bits."""
-    import mpmath
-
-    scaled = mpmath.mpf(x) * (1 << bits)
-    lo = (int(mpmath.floor(scaled)) - 1, 1 << bits)
-    hi = (int(mpmath.ceil(scaled)) + 1, 1 << bits)
-    return Fraction(*lo), Fraction(*hi)
+# Working precisions, in bits, of the interval thresholds: each rung
+# recomputes every threshold from log B at twice the previous precision.
+TELESCOPE_PRECISIONS = (256, 512, 1024)
 
 
-class _AmbiguousBracket(Exception):
-    pass
-
-
-def _floor_of_bracket(lo: Fraction, hi: Fraction) -> int:
-    f_lo = lo.numerator // lo.denominator
-    f_hi = hi.numerator // hi.denominator
-    if f_lo != f_hi:
-        raise _AmbiguousBracket
-    return f_lo
-
-
-def _telescope_thresholds(B: int, dps: int) -> tuple[int, list[int], list[int]]:
+def _telescope_thresholds(B: int) -> tuple[int, list[int], list[int]]:
     """k0 plus exact floors x_k = floor(delta^k B), y_k = floor(delta^{4k} B^2).
 
-    delta = 1 - 1/log B is irrational; every threshold is bracketed by
-    outward-rounded dyadic rationals and each floor is accepted only when
-    both bracket ends agree, so the shell partition is exact.
+    delta = 1 - 1/log B is irrational.  Every threshold is an mpmath.iv
+    interval, whose arithmetic rounds outward, so it encloses the true
+    value; a comparison counts only when it is decided (not None) and a
+    floor only when both endpoints agree, so the shell partition is exact.
+    Anything undecided restarts the computation at the next precision;
+    ArithmeticError is raised when the last precision is not enough.
     """
-    import mpmath
+    from mpmath import iv
 
-    with mpmath.workdps(dps):
-        log_lo, log_hi = _dyadic_bracket(mpmath.log(B))
-    if log_lo <= 1:
-        raise ValueError("telescoping needs log B > 1")
-    delta_lo = 1 - 1 / log_lo
-    delta_hi = 1 - 1 / log_hi
-    thresh_lo = 1 / log_hi**3
-    thresh_hi = 1 / log_lo**3
-
-    xs = [B]
-    ys = [B * B]
-    pow_lo = Fraction(1)
-    pow_hi = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        if k > 100000:
-            raise ArithmeticError("telescoping index k0 did not terminate")
-        pow_lo *= delta_lo
-        pow_hi *= delta_hi
-        below = pow_hi < thresh_lo          # definitely delta^k < (log B)^-3
-        at_or_above = pow_lo >= thresh_hi   # definitely not
-        if not below and not at_or_above:
-            raise _AmbiguousBracket
-        xs.append(_floor_of_bracket(pow_lo * B, pow_hi * B))
-        ys.append(_floor_of_bracket(pow_lo**4 * B * B, pow_hi**4 * B * B))
-        if below:
-            return k, xs, ys
+    saved = iv.prec
+    try:
+        for prec in TELESCOPE_PRECISIONS:
+            iv.prec = prec
+            log = iv.log(B)
+            delta = 1 - 1 / log
+            thresh = 1 / log**3
+            power = iv.mpf(1)
+            xs = [B]
+            ys = [B * B]
+            while True:
+                power *= delta
+                below = power < thresh
+                # the intervals are positive, so int() of an endpoint is its floor
+                x, y = power * B, power**4 * (B * B)
+                if below is None or int(x.a) != int(x.b) or int(y.a) != int(y.b):
+                    break
+                xs.append(int(x.a))
+                ys.append(int(y.a))
+                if below:
+                    return len(xs) - 1, xs, ys
+    finally:
+        iv.prec = saved
+    raise ArithmeticError(
+        f"telescope thresholds for B={B} undecided at {TELESCOPE_PRECISIONS[-1]} bits"
+    )
 
 
 def telescoping_check(B: int, tables: QTables) -> TelescopeReport:
@@ -469,19 +453,12 @@ def telescoping_check(B: int, tables: QTables) -> TelescopeReport:
                                   - S(delta^k B, delta^(4k) B^2)].
 
     Both sides are exact integers once the irrational shell edges are
-    resolved through ambiguity-checked rational brackets.
+    decided in outward-rounded interval arithmetic (_telescope_thresholds);
+    ArithmeticError when they cannot be decided.
     """
     if B < 10:
         raise ValueError("telescoping_check requires B >= 10")
-    last_err = None
-    for dps in (60, 130, 260):
-        try:
-            k0, xs, ys = _telescope_thresholds(B, dps)
-            break
-        except _AmbiguousBracket as err:  # pragma: no cover - astronomically rare
-            last_err = err
-    else:  # pragma: no cover
-        raise ArithmeticError("could not disambiguate delta-power brackets") from last_err
+    k0, xs, ys = _telescope_thresholds(B)
 
     t_val = t_exact(B, tables)
 

@@ -126,6 +126,22 @@ class TestVerify:
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 3
 
+    def test_telescope_suite_fails_loudly_when_undecided(self, monkeypatch, capsys):
+        # 4 bits cannot decide a shell edge: each bound is a FAIL, not a traceback
+        monkeypatch.setattr(counting, "TELESCOPE_PRECISIONS", (4,))
+        assert cli.main(["verify", "--suite", "telescope"]) == cli.EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == "".join(
+            f"FAIL telescope B={B} undecided\n" for B in (10, 100, 1000)
+        )
+        assert "Traceback" not in captured.err
+
+    def test_startup_loads_no_mpmath(self):
+        # the telescope imports mpmath when it runs, not when the CLI starts
+        code = "import sys, qpc.cli; qpc.cli.build_parser(); print('mpmath' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.stdout == "False\n", res.stderr
+
 
 class TestConstant:
     def test_deterministic_and_parsable(self):
@@ -156,6 +172,19 @@ class TestConstant:
 
     def test_prime_limit_guard(self):
         assert run_cli("constant", "--prime-limit", "1").returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constant",),
+            ("table", "--kind", "T", "--bounds", "10"),
+        ],
+    )
+    def test_huge_prime_limit_exit_2(self, argv):
+        # the prime list is refused before its mask is allocated
+        res = run_cli(*argv, "--prime-limit", str(10**12))
+        assert res.returncode == 2
+        assert res.stdout == "" and "resource error" in res.stderr
 
 
 class TestGolden:
@@ -240,6 +269,12 @@ class TestGolden:
         ("verify", "--suite", "formal"): (
             "PASS formal_identity_1 series+cross-multiplied\n"
             "PASS formal_identity_2 series+cross-multiplied\n"
+        ),
+        # k0 and every shell edge come from the interval thresholds
+        ("verify", "--suite", "telescope"): (
+            "PASS telescope B=10 k0=5\n"
+            "PASS telescope B=100 k0=19\n"
+            "PASS telescope B=1000 k0=38\n"
         ),
     }
 

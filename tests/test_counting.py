@@ -294,6 +294,93 @@ class TestTelescoping:
             assert c_witness < 50.0
 
 
+def mpf_powers(B, k0):
+    """delta^k for k <= k0 and (log B)^-3, in plain mpmath at 120 digits."""
+    import mpmath
+
+    with mpmath.workdps(120):
+        log = mpmath.log(B)
+        delta = 1 - 1 / log
+        return [delta**k for k in range(k0 + 1)], log**-3
+
+
+class TestTelescopeThresholds:
+    """The exact shell edges against floors taken in plain mpmath at 120
+    digits, whose rounding error is far below the 1e-100 margin kept from
+    every integer and from the k0 threshold."""
+
+    BOUNDS = (
+        list(range(10, 301))
+        + sorted(random.Random(10).sample(range(301, 10**5 + 1), 100))
+        + [10**6, 10**7]
+    )
+
+    def test_edges_match_mpf_floors(self):
+        import mpmath
+
+        tol = mpmath.mpf(10) ** -100
+        checked = 0
+        for B in self.BOUNDS:
+            k0, xs, ys = counting._telescope_thresholds(B)
+            assert (len(xs), len(ys), xs[0], ys[0]) == (k0 + 1, k0 + 1, B, B * B)
+            powers, thresh = mpf_powers(B, k0)
+            # k0 is minimal with delta^k0 < (log B)^-3
+            assert powers[k0] < thresh - tol and powers[k0 - 1] > thresh + tol, B
+            with mpmath.workdps(120):
+                edges = [(x, p * B) for x, p in zip(xs, powers)]
+                edges += [(y, p**4 * B * B) for y, p in zip(ys, powers)]
+                for got, value in edges:
+                    floor = mpmath.floor(value)
+                    if value - floor > tol and floor + 1 - value > tol:
+                        assert got == int(floor), B
+                        checked += 1
+        assert checked > 10**4
+
+    def test_escalation_reaches_the_same_edges(self, monkeypatch):
+        # a low first rung either decides every edge exactly or hands the
+        # bound to 256 bits, however few of its floors it can decide
+        from mpmath import iv
+
+        prec = iv.prec
+        bounds = (10, 100, 1000, 10**4)
+        want = [counting._telescope_thresholds(B) for B in bounds]
+        for first in range(4, 65):
+            monkeypatch.setattr(counting, "TELESCOPE_PRECISIONS", (first, 256))
+            assert [counting._telescope_thresholds(B) for B in bounds] == want, first
+        assert iv.prec == prec
+
+    def test_undecided_comparison_escalates(self, monkeypatch):
+        # no B up to 2*10^4 leaves delta^k0 < (log B)^-3 undecided at a
+        # precision that decides every floor, so withhold the first decided "below" once: the bound
+        # must go to the next rung, not read None as "not below"
+        from mpmath import iv
+        from mpmath.ctx_iv import ivmpf
+
+        want = counting._telescope_thresholds(100)
+        less = ivmpf.__lt__
+        withheld = []
+
+        def less_but_once(a, b):
+            below = less(a, b)
+            if below and not withheld:
+                withheld.append(iv.prec)
+                return None
+            return below
+
+        monkeypatch.setattr(ivmpf, "__lt__", less_but_once)
+        assert counting._telescope_thresholds(100) == want
+        assert withheld == [256]
+
+    def test_undecided_edges_raise(self, tables, monkeypatch):
+        from mpmath import iv
+
+        prec = iv.prec
+        monkeypatch.setattr(counting, "TELESCOPE_PRECISIONS", (4,))
+        with pytest.raises(ArithmeticError):
+            telescoping_check(100, tables)
+        assert iv.prec == prec
+
+
 # ----------------------------------------------------------------------
 # the reduction over q against the n-ordered divisor enumeration
 # ----------------------------------------------------------------------

@@ -31,8 +31,10 @@ from .counting import (
     PartitionWitness,
     TelescopeReport,
     brute_force_primitive,
+    brute_force_primitive_curve,
     brute_force_star,
     n_star,
+    n_star_by_divisors,
     n_u,
     partition_witness,
     s_exact,

@@ -29,9 +29,14 @@ cumulative sum of mu.  A count is one reduction (_q_sum) of g against a
 per-q term over the tables, block by block: the terms are int64
 numpy arrays, and each block's dot product is taken in int64 only where
 an overflow bound proves it exact (_exact_dot); the block sums are added
-as Python integers.  The n-ordered divisor enumeration
-(arith.square_divisor_weights over an SPF table of its own) is the
-independent oracle that partition_witness checks the reduction against."""
+as Python integers.
+
+The independent order is n_star_by_divisors: the divisors of each n^2 in
+turn (arith.square_divisor_weights over an SPF table of its own).  A pair
+(n, q) counts in N*(B) exactly when q <= B and n^2/q <= B, that is when
+max(q, n^2/q) <= B, whence n <= B; so one pass to the largest bound, with
+each weight binned at max(q, n^2/q) and prefix-summed, gives N*(B) at
+every smaller B, and partition_witness checks the reduction against it."""
 
 from __future__ import annotations
 
@@ -284,24 +289,50 @@ def n_u(bound, tables: QTables) -> int:
     return SIGN_FACTOR * _q_sum(tables, B, term)
 
 
-def partition_witness(B: int, tables: QTables) -> PartitionWitness:
-    """S(B,B^2) and T(B) from the reduction over q, N*(B) from the divisors
-    of each n^2 in turn; constructing the witness verifies N* = 32 (S - T).
+def n_star_by_divisors(limit: int) -> list[int]:
+    """N*(B) for 0 <= B <= limit, from the divisors of each n^2 in turn.
 
-    The two orders share no table and no code (N* factors each n through an
-    SPF table of its own), so a reduction that loses or repeats a term
-    breaks the identity.
+    A pair (n, q) with q | n^2 and weight r4*(q^2) counts in N*(B)/32
+    exactly when q <= B and n^2/q <= B, that is when max(q, n^2/q) <= B;
+    then n <= B, as n^2 = q (n^2/q) <= B^2.  So one pass over n <= limit
+    bins each weight at max(q, n^2/q), and the prefix sums of the bins are
+    the whole curve.  The pass factors each n through an SPF table of its
+    own and shares no table and no code with the reduction over q, so it
+    is the independent order that partition_witness checks against.
     """
-    s_val = s_exact(B, B * B, tables)
-    t_val = t_exact(B, tables)
-    sieve = build_spf_sieve(max(B, 2))
-    ns = 0
-    for n in range(1, B + 1):
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    sieve = build_spf_sieve(max(limit, 2))
+    curve = [0] * (limit + 1)
+    for n in range(1, limit + 1):
         n2 = n * n
         for q, w in square_divisor_weights(sieve.factor_list(n)):
-            if q <= B and n2 <= q * B:
-                ns += w
-    return PartitionWitness(B, s_val, t_val, SIGN_FACTOR * ns)
+            height = max(q, n2 // q)
+            if height <= limit:
+                curve[height] += w
+    # the bins become their prefix sums in place, so no second list is held
+    total = 0
+    for B, w in enumerate(curve):
+        total += w
+        curve[B] = SIGN_FACTOR * total
+    return curve
+
+
+def partition_witness(B: int, tables: QTables, curve: list[int]) -> PartitionWitness:
+    """S(B,B^2) and T(B) from the reduction over q, N*(B) = curve[B] from
+    n_star_by_divisors; constructing the witness verifies N* = 32 (S - T).
+
+    The curve sums the pairs q | n^2 with q <= B and n^2/q <= B, which is
+    max(q, n^2/q) <= B and forces n <= B, in the n-ordered divisor
+    enumeration: the two orders share no table and no code, so a reduction
+    that loses or repeats a term breaks the identity.  Raises ValueError
+    when B lies past the curve's end.
+    """
+    if not 0 <= B < len(curve):
+        raise ValueError(f"B={B} outside the N* curve, which ends at {len(curve) - 1}")
+    s_val = s_exact(B, B * B, tables)
+    t_val = t_exact(B, tables)
+    return PartitionWitness(B, s_val, t_val, curve[B])
 
 
 # ----------------------------------------------------------------------
@@ -346,50 +377,60 @@ def brute_force_star(B: int) -> int:
     return total
 
 
-def brute_force_primitive(B: int) -> int:
-    """Oracle for N_U(B): exhaustive tuple enumeration with a gcd filter.
+def brute_force_primitive_curve(limit: int) -> list[int]:
+    """Oracle for N_U(b) at every 0 <= b <= limit: exhaustive tuple
+    enumeration with a gcd filter.  Guarded to limit <= 40.
 
-    The y-quadruples are enumerated once (numpy grids chunked over y1) into
-    a table counting (sum of squares, gcd of the quadruple); each (x, z)
-    pair then keeps the classes with gcd(x, z, gcd_y) = 1.  Guarded to B <= 40.
+    The y-quadruples with 1 <= sum of squares d <= limit^2 are enumerated
+    once (numpy grids chunked over y1) into a table counting (d, gcd of the
+    quadruple); every such quadruple has |y_i| <= limit.  Each (x, z) pair
+    keeps the classes with gcd(x, z, gcd_y) = 1, and its tuples count at
+    bound b exactly when x, z <= b and d <= b^2, so they are binned at the
+    minimal height max(x, z, sqrt(d)) and prefix-summed; d = (x^2/z)^2 is a
+    square, as z^2 | x^4 means z | x^2.
     """
-    if B > BRUTE_PRIMITIVE_CAP:
+    if limit > BRUTE_PRIMITIVE_CAP:
         raise ValueError(f"brute_force_primitive capped at B={BRUTE_PRIMITIVE_CAP}")
-    if B < 1:
-        return 0
-    B2 = B * B
-    axis = np.arange(-B, B + 1)
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    L2 = limit * limit
+    axis = np.arange(-limit, limit + 1)
     sq = axis * axis
     sum3 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
-    gcd3 = np.gcd(
-        np.gcd.outer(np.abs(axis), np.abs(axis))[:, :, None],
-        np.abs(axis)[None, None, :],
-    )
-    counts = np.zeros((B2 + 1, B + 1), dtype=np.int64)
+    # gcd[a, b] for 0 <= a, b <= limit, looked up in place of np.gcd on the grids
+    gcd = np.gcd.outer(np.arange(limit + 1), np.arange(limit + 1))
+    a = np.abs(axis)
+    gcd3 = gcd[a[:, None, None], gcd[a[:, None], a][None, :, :]]
+    counts = np.zeros((L2 + 1) * (limit + 1), dtype=np.int64)
     for y1 in axis:
         d = int(y1) * int(y1) + sum3
-        g = np.gcd(gcd3, abs(int(y1)))
-        mask = (d >= 1) & (d <= B2)
-        np.add.at(counts, (d[mask], g[mask]), 1)
-    total = 0
-    for x in range(1, B + 1):
+        g = gcd[abs(int(y1))][gcd3]
+        mask = (d >= 1) & (d <= L2)
+        counts += np.bincount(d[mask] * (limit + 1) + g[mask], minlength=len(counts))
+    counts = counts.reshape(L2 + 1, limit + 1)
+    curve = [0] * (limit + 1)
+    for x in range(1, limit + 1):
         x4 = x**4
-        for z in range(1, B + 1):
+        for z in range(1, limit + 1):
             z2 = z * z
             if x4 % z2:
                 continue
             d = x4 // z2
-            if d > B2:
+            if d > L2:
                 continue
-            row = counts[d]
-            xz = math.gcd(x, z)
-            sub = 0
-            for g in range(1, B + 1):
-                c = int(row[g])
-                if c and math.gcd(xz, g) == 1:
-                    sub += c
-            total += 4 * sub
-    return total
+            coprime = gcd[math.gcd(x, z)] == 1
+            curve[max(x, z, math.isqrt(d))] += 4 * int(counts[d][coprime].sum())
+    total = 0
+    for b, c in enumerate(curve):
+        total += c
+        curve[b] = total
+    return curve
+
+
+def brute_force_primitive(B: int) -> int:
+    """Oracle for N_U(B): the last entry of brute_force_primitive_curve(B),
+    0 for B < 1.  Guarded to B <= 40."""
+    return brute_force_primitive_curve(max(B, 0))[-1]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from qpc import (
     QTables,
-    brute_force_primitive,
+    brute_force_primitive_curve,
     brute_force_star,
     build_spf_sieve,
     euler_product_C4,
@@ -28,6 +28,7 @@ from qpc import (
     local_factor_closed_form,
     local_factor_definition,
     n_star,
+    n_star_by_divisors,
     n_star_main_term,
     n_u,
     p_coefficients,
@@ -71,18 +72,6 @@ def poly_1e6():
     return p_coefficients(10**6)
 
 
-# workers for the criterion-2 pool; each process owns its q-tables
-_PARTITION_TABLES = None
-
-
-def _partition_triple(B):
-    global _PARTITION_TABLES
-    if _PARTITION_TABLES is None:
-        _PARTITION_TABLES = QTables()
-    w = partition_witness(B, _PARTITION_TABLES)
-    return B, w.s_part, w.t_part, w.n_star
-
-
 _NAIVE_STATE = {}
 
 
@@ -105,11 +94,12 @@ def test_criterion_1_oracle_equivalence(tables):
     start = time.perf_counter()
     spots = {1: 32, 2: 128, 3: 544}
     prim_spots = {2: 96, 3: 480}
+    primitive = brute_force_primitive_curve(40)
     for B in range(0, 41):
         ns = n_star(B, tables)
         nu = n_u(B, tables)
         assert ns == brute_force_star(B), f"n_star mismatch at B={B}"
-        assert nu == brute_force_primitive(B), f"n_u mismatch at B={B}"
+        assert nu == primitive[B], f"n_u mismatch at B={B}"
         if B in spots:
             assert ns == spots[B]
         if B in prim_spots:
@@ -118,15 +108,15 @@ def test_criterion_1_oracle_equivalence(tables):
     report(1, elapsed < 120, f"B in [0,40] exact, single-threaded, {elapsed:.1f}s")
 
 
-def test_criterion_2_partition_identity():
+def test_criterion_2_partition_identity(tables):
     start = time.perf_counter()
     rng = random.Random(20260808)
     samples = sorted(rng.sample(range(1, 10**4 + 1), 200))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(4) as pool:
-        results = pool.map(_partition_triple, samples)
-    for B, s_val, t_val, ns in results:
-        assert ns == 32 * (s_val - t_val), f"partition identity failed at B={B}"
+    # N* at every sampled bound from one n-ordered pass
+    curve = n_star_by_divisors(max(samples))
+    for B in samples:
+        w = partition_witness(B, tables, curve)
+        assert w.n_star == 32 * (w.s_part - w.t_part), f"partition identity failed at B={B}"
     elapsed = time.perf_counter() - start
     report(2, elapsed < 60, f"200 sampled B <= 1e4, {elapsed:.1f}s")
 

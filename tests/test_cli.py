@@ -309,6 +309,20 @@ class TestVerifySuitesEndToEnd:
         assert res.returncode == 0
         assert res.stdout.count("PASS") == 40
 
+    def test_partition_suite_builds_one_spf_table(self, monkeypatch, capsys):
+        # one n-ordered pass to the largest sampled bound serves all 40
+        limits = []
+        build = counting.build_spf_sieve
+
+        def counted(limit, *args, **kwargs):
+            limits.append(limit)
+            return build(limit, *args, **kwargs)
+
+        monkeypatch.setattr(counting, "build_spf_sieve", counted)
+        assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.count("PASS partition") == 40
+        assert limits == [3955]
+
     def test_global_suite_passes_at_default_tolerance(self):
         res = run_cli("verify", "--suite", "global")
         assert res.returncode == 0
@@ -322,7 +336,11 @@ class TestVerifySuitesEndToEnd:
             counting, "_q_sum", lambda tables, Q, term: reduction(tables, Q - 1, term)
         )
         assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_CHECK_FAILED
-        assert "FAIL partition" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL partition B=3955" in lines
+        # every bound still gets its own line
+        assert len(lines) == 40
+        assert all(line.split()[0] in ("PASS", "FAIL") for line in lines)
 
     @pytest.mark.parametrize("bad", [2, 7])
     def test_local_suite_fails_on_a_numerator_off_by_one(self, bad, monkeypatch, capsys):

@@ -9,10 +9,13 @@ from qpc import (
     QTables,
     ResourceError,
     brute_force_primitive,
+    brute_force_primitive_curve,
     brute_force_star,
+    build_spf_sieve,
     factorize,
     mobius,
     n_star,
+    n_star_by_divisors,
     n_u,
     partition_witness,
     r4_star,
@@ -243,27 +246,77 @@ class TestBruteForceOracles:
             assert brute_force_star(B) == n_star(B, tables), B
 
     def test_primitive_matches_fast_path_to_25(self, tables):
+        curve = brute_force_primitive_curve(25)
+        assert len(curve) == 26
         for B in range(0, 26):
-            assert brute_force_primitive(B) == n_u(B, tables), B
+            assert curve[B] == n_u(B, tables), B
+
+    def test_primitive_curve_bins_at_the_minimal_height(self):
+        # the curve to 12 enumerates quadruples and (x, z) pairs past each
+        # smaller bound; binned at max(x, z, sqrt(d)) it must agree
+        # with the enumeration that stops at that bound
+        curve = brute_force_primitive_curve(12)
+        assert [brute_force_primitive(B) for B in range(-1, 13)] == [0] + curve
+
+
+def n_star_per_bound(B):
+    """N*(B) as partition_witness took it before the curve: one SPF table
+    and one n-ordered pass per bound, kept verbatim as the curve's oracle."""
+    sieve = build_spf_sieve(max(B, 2))
+    ns = 0
+    for n in range(1, B + 1):
+        n2 = n * n
+        for q, w in square_divisor_weights(sieve.factor_list(n)):
+            if q <= B and n2 <= q * B:
+                ns += w
+    return counting.SIGN_FACTOR * ns
+
+
+class TestNStarByDivisors:
+    def test_matches_the_per_bound_loop(self):
+        curve = n_star_by_divisors(300)
+        assert curve == [n_star_per_bound(B) for B in range(301)]
+
+    def test_matches_the_reduction_over_q(self, tables):
+        curve = n_star_by_divisors(3000)
+        assert len(curve) == 3001
+        assert curve == [n_star(B, tables) for B in range(3001)]
+
+    def test_small_limits(self):
+        assert n_star_by_divisors(0) == [0]
+        assert n_star_by_divisors(1) == [0, 32]
+        assert n_star_by_divisors(3) == [0, 32, 128, 544]
+        with pytest.raises(ValueError):
+            n_star_by_divisors(-1)
 
 
 class TestPartitionWitness:
     def test_spec_values(self, tables):
-        w = partition_witness(2, tables)
+        curve = n_star_by_divisors(3)
+        w = partition_witness(2, tables, curve)
         assert (w.s_part, w.t_part, w.n_star) == (5, 1, 128)
-        w = partition_witness(1, tables)
+        w = partition_witness(1, tables, curve)
         assert (w.s_part, w.t_part, w.n_star) == (1, 0, 32)
-        w = partition_witness(3, tables)
+        w = partition_witness(3, tables, curve)
         assert (w.s_part, w.t_part, w.n_star) == (19, 2, 544)
 
     def test_invariant_enforced(self):
         with pytest.raises(ArithmeticError):
             PartitionWitness(2, 5, 1, 129)
 
+    def test_bound_past_the_curve(self, tables):
+        curve = n_star_by_divisors(10)
+        partition_witness(10, tables, curve)
+        for B in (11, -1):
+            with pytest.raises(ValueError):
+                partition_witness(B, tables, curve)
+
     def test_sampled(self, tables):
         rng = random.Random(4)
-        for B in rng.sample(range(1, 3000), 25):
-            partition_witness(B, tables)  # raises on violation
+        sample = rng.sample(range(1, 3000), 25)
+        curve = n_star_by_divisors(max(sample))
+        for B in sample:
+            partition_witness(B, tables, curve)  # raises on violation
 
 
 class TestTelescoping:

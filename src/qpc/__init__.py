@@ -11,6 +11,7 @@ from .arith import (
     primes_up_to,
     r4,
     r4_star,
+    square_divisor_blocks,
     square_divisor_weights,
 )
 from .asymptotics import (

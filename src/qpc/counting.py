@@ -32,11 +32,12 @@ an overflow bound proves it exact (_exact_dot); the block sums are added
 as Python integers.
 
 The independent order is n_star_by_divisors: the divisors of each n^2 in
-turn (arith.square_divisor_weights over an SPF table of its own).  A pair
-(n, q) counts in N*(B) exactly when q <= B and n^2/q <= B, that is when
-max(q, n^2/q) <= B, whence n <= B; so one pass to the largest bound, with
-each weight binned at max(q, n^2/q) and prefix-summed, gives N*(B) at
-every smaller B, and partition_witness checks the reduction against it."""
+turn, a block of n at a time (arith.square_divisor_blocks, over an SPF
+table of its own).  A pair (n, q) counts in N*(B) exactly when q <= B and
+n^2/q <= B, that is when max(q, n^2/q) <= B, whence n <= B; so one pass
+to the largest bound, with each weight binned at max(q, n^2/q) and
+prefix-summed, gives N*(B) at every smaller B, and partition_witness
+checks the reduction against it."""
 
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Q_BLOCK, QTables, build_spf_sieve, square_divisor_weights
+from .arith import Q_BLOCK, QTables, square_divisor_blocks
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -294,28 +295,22 @@ def n_star_by_divisors(limit: int) -> list[int]:
 
     A pair (n, q) with q | n^2 and weight r4*(q^2) counts in N*(B)/32
     exactly when q <= B and n^2/q <= B, that is when max(q, n^2/q) <= B;
-    then n <= B, as n^2 = q (n^2/q) <= B^2.  So one pass over n <= limit
-    bins each weight at max(q, n^2/q), and the prefix sums of the bins are
-    the whole curve.  The pass factors each n through an SPF table of its
-    own and shares no table and no code with the reduction over q, so it
-    is the independent order that partition_witness checks against.
+    then n <= B, as n^2 = q (n^2/q) <= B^2.  So one pass of
+    arith.square_divisor_blocks over n <= limit bins each weight at
+    max(q, n^2/q), and the prefix sums of the bins, exact in int64 (at most
+    limit^2 pairs of weight < 7 limit^2, limit <= 2^15) and then times 32 in
+    Python ints, are the whole curve.  The pass shares no table and no code
+    with the reduction over q: the independent order of partition_witness.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    sieve = build_spf_sieve(max(limit, 2))
-    curve = [0] * (limit + 1)
-    for n in range(1, limit + 1):
-        n2 = n * n
-        for q, w in square_divisor_weights(sieve.factor_list(n)):
-            height = max(q, n2 // q)
-            if height <= limit:
-                curve[height] += w
-    # the bins become their prefix sums in place, so no second list is held
-    total = 0
-    for B, w in enumerate(curve):
-        total += w
-        curve[B] = SIGN_FACTOR * total
-    return curve
+    bins = np.zeros(limit + 1, dtype=np.int64)
+    for lo, counts, q, g in square_divisor_blocks(limit):
+        n = np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts)
+        height = np.maximum(q, n * n // q)
+        keep = height <= limit
+        np.add.at(bins, height[keep], g[keep])
+    return [SIGN_FACTOR * total for total in np.cumsum(bins).tolist()]
 
 
 def partition_witness(B: int, tables: QTables, curve: list[int]) -> PartitionWitness:

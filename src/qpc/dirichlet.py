@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import FactoredInteger, build_spf_sieve, primes_up_to, r4_star, square_divisor_weights
+from .arith import FactoredInteger, primes_up_to, r4_star, square_divisor_blocks
 from .errors import DomainError
 from .series import RationalFunction, TruncSeries
 
@@ -446,15 +446,18 @@ def global_series_check(s: float, w: float, N: int, prime_limit: int) -> float:
 
       LHS = sum_{n <= N} n^-s sum_{m | n^2} (n^4/m^2)^-w r4*(n^4/m^2)
       RHS = zeta(s) zeta(s+2w-2) zeta(s+4w-4) G(s, w)  (product to prime_limit).
+
+    The LHS is n-ordered: per block of 256 n from arith.square_divisor_blocks
+    (N <= 2^15, else ResourceError), one np.add.reduceat per n of
+    (q^2)^-w r4*(q^2) for q = n^2/m, times n^-s; math.fsum adds the N terms.
     """
     if s <= 5 or w <= 0:
         raise DomainError(f"series converges for s > 5, w > 0; got ({s}, {w})")
-    sieve = build_spf_sieve(max(N, 2))
     terms = []
-    for n in range(1, N + 1):
-        pairs = square_divisor_weights(sieve.factor_list(n))
-        inner = [float(q * q) ** (-w) * wq for q, wq in pairs]
-        terms.append(float(n) ** (-s) * math.fsum(inner))
+    for lo, counts, q, g in square_divisor_blocks(N):
+        inner = (q * q).astype(np.float64) ** (-w) * g.astype(np.float64)
+        inner = np.add.reduceat(inner, np.cumsum(counts) - counts)
+        terms.extend((np.arange(lo, lo + len(counts), dtype=np.float64) ** (-s) * inner).tolist())
     lhs = math.fsum(terms)
     e0, e1, e2 = _exponent_triple(s, w)
     rhs = (

@@ -13,6 +13,7 @@ of X^k terms is bounded by construction).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -25,11 +26,8 @@ class TruncSeries:
         if len(self.weights) != nvars:
             raise ValueError("one weight per variable")
         self.max_degree = max_degree
-        self.coeffs = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                if c and self._keeps(exps):
-                    self.coeffs[exps] = c
+        keeps = self._keeps
+        self.coeffs = {e: c for e, c in coeffs.items() if c and keeps(e)} if coeffs else {}
 
     # -- construction helpers ------------------------------------------
 
@@ -50,7 +48,7 @@ class TruncSeries:
     def _keeps(self, exps) -> bool:
         if self.max_degree is None:
             return True
-        return sum(w * e for w, e in zip(self.weights, exps)) <= self.max_degree
+        return sum(map(operator.mul, self.weights, exps)) <= self.max_degree
 
     def _like(self) -> "TruncSeries":
         return TruncSeries(self.nvars, None, self.max_degree, self.weights)
@@ -178,7 +176,8 @@ class TruncSeries:
         return hash((self.nvars, tuple(sorted(self._normalized().items()))))
 
     def _normalized(self) -> dict:
-        return {e: Fraction(c) for e, c in self.coeffs.items() if c}
+        # an int equals, and hashes like, the Fraction of the same value
+        return {e: c for e, c in self.coeffs.items() if c}
 
     def coefficient(self, exps) -> Fraction:
         return Fraction(self.coeffs.get(tuple(exps), 0))

@@ -75,13 +75,21 @@ def poly_1e6():
 _NAIVE_STATE = {}
 
 
-def _naive_vs_fast_one_y(y):
+def _naive_state():
+    """The q-tables and the naive terms of every n <= 500, built once: the
+    test body builds them before the fork, so the pool's workers inherit
+    them, and reuses them for its T loop.  S(x, y) reads q <= x^2, so
+    tables to 500^2 are never grown in a worker."""
     if not _NAIVE_STATE:
         sieve = build_spf_sieve(500)
         _NAIVE_STATE["tables"] = QTables()
+        _NAIVE_STATE["tables"].upto(500 * 500)
         _NAIVE_STATE["terms"] = {n: naive_inner_terms(n, sieve) for n in range(1, 501)}
-    tables = _NAIVE_STATE["tables"]
-    terms = _NAIVE_STATE["terms"]
+    return _NAIVE_STATE["tables"], _NAIVE_STATE["terms"]
+
+
+def _naive_vs_fast_one_y(y):
+    tables, terms = _naive_state()
     prefix = 0
     for x in range(1, 501):
         prefix += sum(w for d, w in terms[x] if d <= y)
@@ -125,14 +133,12 @@ def test_criterion_3_definition_vs_fast_path():
     start = time.perf_counter()
     rng = random.Random(31337)
     ys = [rng.randint(1, 500**4) for _ in range(20)]
+    tables, terms = _naive_state()
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(4) as pool:
         failures = [f for f in pool.map(_naive_vs_fast_one_y, ys) if f]
     assert not failures, f"s_exact disagreed with the naive double loop at {failures}"
 
-    sieve = build_spf_sieve(500)
-    tables = QTables()
-    terms = {n: naive_inner_terms(n, sieve) for n in range(1, 501)}
     for B in range(1, 501):
         assert t_exact(B, tables) == naive_t(B, terms), f"t mismatch at B={B}"
     elapsed = time.perf_counter() - start

@@ -15,9 +15,11 @@ from qpc import (
     primes_up_to,
     r4,
     r4_star,
+    square_divisor_blocks,
     square_divisor_weights,
 )
-from qpc.arith import Q_BLOCK, Q_TABLE_BYTES
+from qpc import arith
+from qpc.arith import Q_BLOCK, Q_TABLE_BYTES, SQUARE_BLOCK, SQUARE_DIVISOR_CAP
 from conftest import divisors_from_factors, r4_star_divisor_oracle
 
 
@@ -301,6 +303,51 @@ class TestSquareDivisorPairs:
                     if e:
                         d_factors.append((p, 2 * e))
                 assert w == r4_star_divisor_oracle(d_factors), (n, q)
+
+
+def block_rows(limit):
+    """{n: sorted (q, r4*(q^2)) rows} from square_divisor_blocks(limit)."""
+    rows = {}
+    for lo, counts, q, g in square_divisor_blocks(limit):
+        assert q.dtype == np.int64 and g.dtype == np.int64
+        assert len(q) == len(g) == int(counts.sum())
+        ends = np.cumsum(counts).tolist()
+        for i, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+            rows[lo + i] = sorted(zip(q[start:end].tolist(), g[start:end].tolist()))
+    return rows
+
+
+class TestSquareDivisorBlocks:
+    def test_matches_the_per_integer_oracle(self, sieve_small):
+        rows = block_rows(10**4)
+        assert list(rows) == list(range(1, 10**4 + 1))
+        for n, got in rows.items():
+            assert got == sorted(square_divisor_weights(sieve_small.factor_list(n))), n
+
+    @pytest.mark.parametrize("limit", [0, 1, 255, 256, 257, 513])
+    def test_block_edges(self, sieve_small, limit):
+        blocks = list(square_divisor_blocks(limit))
+        assert [lo for lo, *_ in blocks] == list(range(1, limit + 1, SQUARE_BLOCK))
+        assert sum(len(counts) for _, counts, _, _ in blocks) == limit
+        rows = block_rows(limit)
+        assert list(rows) == list(range(1, limit + 1))
+        for n, got in rows.items():
+            assert got == sorted(square_divisor_weights(sieve_small.factor_list(n))), n
+
+    def test_weights_at_large_prime_squares(self):
+        # at n = p = 6211, r4*(p^4) = p^4 + p^3 + p^2 + p + 1 fits an int64,
+        # but (p^5 - 1)/(p - 1) would pass through p^5 > 2^63
+        p = 6211
+        got = dict(block_rows(p)[p])
+        assert got == {1: 1, p: p * p + p + 1, p * p: p**4 + p**3 + p**2 + p + 1}
+
+    def test_cap_raises_before_allocating(self, monkeypatch):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("allocated past the cap")
+
+        monkeypatch.setattr(arith, "build_spf_sieve", no_sieve)
+        with pytest.raises(ResourceError):
+            next(square_divisor_blocks(SQUARE_DIVISOR_CAP + 1))
 
 
 class TestPrimesUpTo:

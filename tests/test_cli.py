@@ -270,6 +270,11 @@ class TestGolden:
             "PASS formal_identity_1 series+cross-multiplied\n"
             "PASS formal_identity_2 series+cross-multiplied\n"
         ),
+        # the n-ordered left-hand side's last bits show in the residuals
+        ("verify", "--suite", "global"): (
+            "PASS global_series s=6 w=2 residual=1.998e-15\n"
+            "PASS global_series s=7 w=3 residual=1.110e-15\n"
+        ),
         # k0 and every shell edge come from the interval thresholds
         ("verify", "--suite", "telescope"): (
             "PASS telescope B=10 k0=5\n"
@@ -312,13 +317,14 @@ class TestVerifySuitesEndToEnd:
     def test_partition_suite_builds_one_spf_table(self, monkeypatch, capsys):
         # one n-ordered pass to the largest sampled bound serves all 40
         limits = []
-        build = counting.build_spf_sieve
+        build = arith.build_spf_sieve
 
         def counted(limit, *args, **kwargs):
             limits.append(limit)
             return build(limit, *args, **kwargs)
 
-        monkeypatch.setattr(counting, "build_spf_sieve", counted)
+        # the n-ordered divisor blocks look the sieve up in arith
+        monkeypatch.setattr(arith, "build_spf_sieve", counted)
         assert cli.main(["verify", "--suite", "partition"]) == cli.EXIT_OK
         assert capsys.readouterr().out.count("PASS partition") == 40
         assert limits == [3955]
@@ -403,7 +409,6 @@ class TestVerifySuitesEndToEnd:
             raise AssertionError("a count built an SPF table")
 
         monkeypatch.setattr(arith, "build_spf_sieve", no_sieve)
-        monkeypatch.setattr(counting, "build_spf_sieve", no_sieve)
         for argv, out in zip(commands, want):
             assert cli.main(argv + ["--no-timing"]) == cli.EXIT_OK, argv
             assert capsys.readouterr().out == out, argv

@@ -272,10 +272,37 @@ def n_star_per_bound(B):
     return counting.SIGN_FACTOR * ns
 
 
+def n_star_curve_per_n(limit):
+    """N*(B) for B <= limit as n_star_by_divisors took it before the divisor
+    blocks: one Python loop over n and the divisors of n^2, kept verbatim
+    as the vectorised curve's oracle."""
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    sieve = build_spf_sieve(max(limit, 2))
+    curve = [0] * (limit + 1)
+    for n in range(1, limit + 1):
+        n2 = n * n
+        for q, w in square_divisor_weights(sieve.factor_list(n)):
+            height = max(q, n2 // q)
+            if height <= limit:
+                curve[height] += w
+    # the bins become their prefix sums in place, so no second list is held
+    total = 0
+    for B, w in enumerate(curve):
+        total += w
+        curve[B] = counting.SIGN_FACTOR * total
+    return curve
+
+
 class TestNStarByDivisors:
     def test_matches_the_per_bound_loop(self):
         curve = n_star_by_divisors(300)
         assert curve == [n_star_per_bound(B) for B in range(301)]
+
+    def test_matches_the_per_n_loop(self):
+        # 300 and the block edges of the divisor generator around it
+        for limit in (255, 256, 257, 300, 513):
+            assert n_star_by_divisors(limit) == n_star_curve_per_n(limit), limit
 
     def test_matches_the_reduction_over_q(self, tables):
         curve = n_star_by_divisors(3000)

@@ -90,6 +90,21 @@ def test_set_zero():
     assert restricted.coeffs == {(0, 0): 1, (2, 0): 7}
 
 
+def test_int_coefficients_equal_and_hash_like_fractions():
+    ints = TruncSeries(
+        2, {(0, 0): 1, (1, 2): -5, (2, 0): 7, (3, 1): 0}, max_degree=3, weights=(1, 0)
+    )
+    fracs = TruncSeries(
+        2, {e: Fraction(c) for e, c in ints.coeffs.items()}, max_degree=3, weights=(1, 0)
+    )
+    assert all(type(c) is int for c in ints.coeffs.values())
+    assert all(type(c) is Fraction for c in fracs.coeffs.values())
+    assert ints == fracs and fracs == ints
+    assert hash(ints) == hash(fracs)
+    assert len({ints, fracs}) == 1
+    assert ints != fracs + Fraction(1, 2)
+
+
 def test_scalar_arithmetic():
     x = TruncSeries.monomial(1, (1,), max_degree=3)
     assert (2 * x + 1) - 1 == x + x

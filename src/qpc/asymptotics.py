@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import QTables, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
-from .dirichlet import _g_value, zeta, zeta_star
+from .dirichlet import _OddFactors, _g_value, zeta, zeta_star
 from .errors import DomainError, UnstableDifferentiationError
 
 RESIDUE_JACOBIAN = 0.25
@@ -120,10 +120,11 @@ def euler_product_C4(prime_limit: int) -> tuple[float, float]:
     return value, tail_bound
 
 
-def _h(s: float, prime_limit: int, ps: np.ndarray) -> float:
+def _h(s: float, prime_limit: int, ps) -> float:
     """16 (s-1)^2 zeta(s) zeta((s+1)/2) G(s, (5-s)/4) / ((5-s)(9-s) s (s+1)),
     written through (sigma-1) zeta(sigma) so s = 1 is a regular point;
-    ps holds the primes up to prime_limit."""
+    ps holds the primes up to prime_limit, as an array or as the
+    dirichlet._OddFactors built from them."""
     g = _g_value(s, (5.0 - s) / 4.0, prime_limit, ps)[0]
     return (
         32.0
@@ -143,10 +144,15 @@ def p_coefficients(
     1e-3 and 1e-4; if the two extrapolations disagree beyond rel_tolerance
     (relative), the differentiation is reported as unstable.  c0_error is
     their spread plus 1e-9; it does not bound the Euler-product truncation.
+
+    G is evaluated at nine points, (1, 1) and the eight on w = (5 - s)/4,
+    over one sieve and one dirichlet._OddFactors: 21 float pows over the
+    odd primes in all, p^3.0, p^3 and p^-(s+4w) once (s + 4w is 5.0 at
+    every point) and two per point, where nine g_value calls take 45.
     """
     if prime_limit < 10**3:
         raise ValueError("prime_limit must be >= 1000 for stable coefficients")
-    ps = primes_up_to(prime_limit)
+    ps = _OddFactors(primes_up_to(prime_limit))
     g11, g11_tail = _g_value(1.0, 1.0, prime_limit, ps)
     c1 = g11 / 2.0
     c1_error = g11_tail / 2.0 + 1e-12

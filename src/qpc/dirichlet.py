@@ -346,15 +346,69 @@ def _check_convergence_domain(s: float, w: float) -> tuple[float, float, float]:
     return es
 
 
+def _y_terms(p, s: float, w: float):
+    """(p^3+p^2+p) y and 1 - y for y = p^-(s+4w): the terms of G_p that
+    depend on (s, w) only through the float s + 4w."""
+    y = p ** (-(s + 4 * w))
+    return (p**3 + p * p + p) * y, 1.0 - y
+
+
+def _g_odd(p, p3, c2y, den, s: float, w: float):
+    """G_p(s, w) for odd p, a float or a numpy array of them, from p3 = p^3.0
+    and (c2y, den) = _y_terms(p, s, w): the closed form
+
+        [1 + (p^2+p+1) x + (p^3+p^2+p) y + p^3 z] (1 - p^2 x) / (1 - y),
+
+    x = p^-(s+2w), y = p^-(s+4w), z = p^-(2s+6w)."""
+    x = p ** (-(s + 2 * w))
+    t = 1.0 + (p * p + p + 1) * x
+    t += c2y
+    t += p3 * p ** (-(2 * s + 6 * w))
+    t *= 1.0 - p * p * x
+    t /= den
+    return t
+
+
 def g_factor_odd(p, s: float, w: float):
-    """G_p(s, w) for odd p (works on numpy arrays of p)."""
-    t = (
-        1.0
-        + (p * p + p + 1) * p ** (-(s + 2 * w))
-        + (p**3 + p * p + p) * p ** (-(s + 4 * w))
-        + p**3.0 * p ** (-(2 * s + 6 * w))
-    )
-    return t * (1.0 - p * p * p ** (-(s + 2 * w))) / (1.0 - p ** (-(s + 4 * w)))
+    """G_p(s, w) for odd p, a float or a numpy array of them: _g_odd with
+    its prime-side terms built for this one point, in five pows."""
+    return _g_odd(p, p**3.0, *_y_terms(p, s, w), s, w)
+
+
+# G's odd factors over a prime list are evaluated G_BLOCK primes at a time,
+# so the temporaries of the closed form stay small beside the full arrays.
+G_BLOCK = 1 << 13
+
+
+class _OddFactors:
+    """G_p(s, w) over the odd primes of a prime array, for point after point.
+
+    p^3.0 is built once per prime list, and the _y_terms once per value of
+    the float s + 4w: a point with the same s + 4w as the last one reuses
+    them, and any other rebuilds them.  Each point then takes the two pows
+    x = p^-(s+2w) and z = p^-(2s+6w), not the five of g_factor_odd.  The
+    factors are written block by block into one array by _g_odd, the closed
+    form that g_factor_odd evaluates, so each is the same float.
+    """
+
+    __slots__ = ("p", "p3", "e4", "c2y", "den", "t")
+
+    def __init__(self, ps: np.ndarray):
+        self.p = p = ps[ps > 2].astype(np.float64)
+        self.p3 = p**3.0
+        self.e4 = None
+        self.c2y, self.den, self.t = (np.empty_like(p) for _ in range(3))
+
+    def factors(self, s: float, w: float) -> np.ndarray:
+        """G_p(s, w) for every p, in an array that the next call overwrites."""
+        blocks = [slice(lo, lo + G_BLOCK) for lo in range(0, self.p.size, G_BLOCK)]
+        if s + 4 * w != self.e4:
+            for b in blocks:
+                self.c2y[b], self.den[b] = _y_terms(self.p[b], s, w)
+            self.e4 = s + 4 * w
+        for b in blocks:
+            self.t[b] = _g_odd(self.p[b], self.p3[b], self.c2y[b], self.den[b], s, w)
+        return self.t
 
 
 def g_factor_2(s: float, w: float) -> float:
@@ -413,29 +467,44 @@ def g_value(s: float, w: float, prime_limit: int) -> tuple[float, float]:
     absolute tail bound.
 
     Raises DomainError outside min_j(s + 2jw - 2j) >= 1/2 + margin.  The
-    product is reduced in a fixed order, so results are reproducible.
+    product is reduced in a fixed order, so results are reproducible.  It
+    takes five float pows over the odd primes: p^3.0, then p^3 and
+    p^-(s+4w) for the _y_terms, then p^-(s+2w) and p^-(2s+6w).
     """
-    return _g_value(s, w, prime_limit, primes_up_to(prime_limit))
+    return _g_value(s, w, prime_limit, _OddFactors(primes_up_to(prime_limit)))
 
 
-def _g_value(s: float, w: float, prime_limit: int, ps: np.ndarray) -> tuple[float, float]:
-    """g_value with ps = primes_up_to(prime_limit) supplied by the caller, so
-    callers evaluating G at many points sieve the primes once."""
+def _g_value(s: float, w: float, prime_limit: int, ps) -> tuple[float, float]:
+    """g_value over ps, the primes up to prime_limit or the _OddFactors built
+    from them, so that callers evaluating G at many points sieve the primes
+    and build the prime-side arrays once.
+
+    An _OddFactors holds the float odd primes and p^3.0, built once per
+    prime list, and the _y_terms of p^3 and p^-(s+4w), built once per value
+    of s + 4w; passing it leaves two pows per point.  The p^-(s+4w) terms
+    repeat along the residue line w = (5 - s)/4 of p_coefficients, where
+    s + 4w = 5: in float, 4w is the rounded 5 - s exactly, and s plus it
+    rounds back to 5.0 at s = 1 and at each Richardson step 1 +- 1e-3,
+    5e-4, 1e-4, 5e-5, so the nine points share them.  A point with any
+    other s + 4w rebuilds them.  The odd factors are multiplied by one
+    sequential np.prod, and every value is the same float whether ps is
+    shared or not.
+    """
     _check_convergence_domain(s, w)
+    odd = ps if isinstance(ps, _OddFactors) else _OddFactors(ps)
     value = 1.0
     log_tail = 0.0
     if prime_limit >= 2:
         value *= g_factor_2(s, w)
     else:
         log_tail += abs(math.log(g_factor_2(s, w)))
-    odd = ps[ps > 2]
-    if odd.size:
-        value *= float(np.prod(g_factor_odd(odd.astype(np.float64), s, w)))
+    if odd.p.size:
+        value *= float(np.prod(odd.factors(s, w)))
     # analytic bound beyond max(prime_limit, 10); explicit factors in between
     analytic_from = max(prime_limit, 10)
     for p in (3, 5, 7):
         if p > prime_limit:
-            log_tail += abs(math.log(float(g_factor_odd(float(p), s, w))))
+            log_tail += abs(math.log(g_factor_odd(float(p), s, w)))
     log_tail += _g_tail_log_bound(s, w, float(analytic_from))
     tail_bound = abs(value) * math.expm1(log_tail) if math.isfinite(log_tail) else math.inf
     return value, tail_bound

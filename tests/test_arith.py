@@ -357,6 +357,39 @@ class TestPrimesUpTo:
 
     def test_counts(self):
         assert len(primes_up_to(10**4)) == 1229
+        assert len(primes_up_to(10**6)) == 78498
+
+    @staticmethod
+    def _reference(limit):
+        # trial division by the primes found so far, one n at a time
+        found = []
+        for n in range(2, limit + 1):
+            if all(n % p for p in found if p * p <= n):
+                found.append(n)
+        return found
+
+    def test_matches_reference_at_every_small_limit(self):
+        want = self._reference(300)
+        for limit in range(301):
+            got = primes_up_to(limit)
+            assert got.dtype == np.int64, limit
+            assert got.tolist() == [p for p in want if p <= limit], limit
+
+    def test_matches_reference_near_a_million(self):
+        mask = np.ones(10**6 + 4, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(10**6 + 3) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        for limit in range(10**6 - 3, 10**6 + 4):
+            got = primes_up_to(limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.flatnonzero(mask[: limit + 1])), limit
+
+    def test_empty_below_two_is_int64(self):
+        for limit in (-5, 0, 1):
+            got = primes_up_to(limit)
+            assert got.dtype == np.int64 and got.size == 0
 
 
 def test_r4_star_promotes_past_machine_words():

@@ -20,9 +20,12 @@ from qpc import (
     s_main_term,
     t_exact,
     t_main_term,
+    UnstableDifferentiationError,
     zeta,
+    zeta_star,
 )
 from qpc.asymptotics import _h
+from test_dirichlet import reference_g_value
 
 mpmath.mp.dps = 40
 
@@ -111,6 +114,61 @@ class TestPCoefficients:
     def test_polynomial_evaluation(self):
         P = ResiduePolynomial(0.25, 0.05, 0.0, 0.0)
         assert P(2.0) == pytest.approx(0.55)
+
+
+# p_coefficients as it was before G's prime-side arrays were shared between
+# its nine points, kept verbatim (over the verbatim G of test_dirichlet) as
+# the oracle that the shared evaluation must match field by field.
+def reference_h(s: float, prime_limit: int, ps) -> float:
+    g = reference_g_value(s, (5.0 - s) / 4.0, prime_limit, ps)[0]
+    return (
+        32.0
+        * zeta_star(s)
+        * zeta_star((s + 1.0) / 2.0)
+        * g
+        / ((5.0 - s) * (9.0 - s) * s * (s + 1.0))
+    )
+
+
+def reference_p_coefficients(
+    prime_limit: int, rel_tolerance: float = 1e-5
+) -> ResiduePolynomial:
+    if prime_limit < 10**3:
+        raise ValueError("prime_limit must be >= 1000 for stable coefficients")
+    ps = primes_up_to(prime_limit)
+    g11, g11_tail = reference_g_value(1.0, 1.0, prime_limit, ps)
+    c1 = g11 / 2.0
+    c1_error = g11_tail / 2.0 + 1e-12
+
+    def central(eps: float) -> float:
+        return (
+            reference_h(1.0 + eps, prime_limit, ps) - reference_h(1.0 - eps, prime_limit, ps)
+        ) / (2.0 * eps)
+
+    richardson = []
+    for eps in (1e-3, 1e-4):
+        d1 = central(eps)
+        d2 = central(eps / 2.0)
+        richardson.append((4.0 * d2 - d1) / 3.0)
+    spread = abs(richardson[0] - richardson[1])
+    scale = max(abs(richardson[1]), 1e-30)
+    if spread > rel_tolerance * scale:
+        raise UnstableDifferentiationError(
+            f"h'(1) estimates differ by {spread:.3e} (relative {spread / scale:.3e})",
+            estimates=tuple(richardson),
+        )
+    c0 = richardson[1]
+    c0_error = spread + 1e-9
+    return ResiduePolynomial(c1, c0, c1_error, c0_error)
+
+
+@pytest.mark.parametrize("prime_limit", [10**3, 5000, 10**5, 10**6])
+def test_p_coefficients_match_reference(prime_limit):
+    got = p_coefficients(prime_limit)
+    want = reference_p_coefficients(prime_limit)
+    assert (got.c1, got.c0, got.c1_error, got.c0_error) == (
+        want.c1, want.c0, want.c1_error, want.c0_error
+    )
 
 
 class TestMainTerms:

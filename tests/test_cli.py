@@ -261,6 +261,26 @@ class TestGolden:
             "variant_ratio_chain_over_paper,1.3333333333333335,0\n"
             "residue_jacobian,0.25,0\n"
         ),
+        # the residue constants over all 78,498 primes below the default
+        # prime limit, as the benchmark's table and constant commands take them
+        ("constant", "--prime-limit", "1000000", "--format", "json"): (
+            '{"C4":{"value":0.22326446640869343,"error_bound":6.6979341412046951e-12},'
+            '"c1_residue_route":{"value":0.22326445127679617,"error_bound":2.2326556290950563e-07},'
+            '"c0":{"value":0.05248119434012969,"error_bound":1.170534884824658e-09},'
+            '"C4star_paper":{"value":8.5733555100938279,"error_bound":2.5720067102226029e-10},'
+            '"C4star_chain":{"value":11.431140680125104,"error_bound":3.4293422802968039e-10},'
+            '"C4star_paper_over_zeta3":{"value":7.1322376566024879,'
+            '"error_bound":2.1396713445612347e-10},'
+            '"C4star_chain_over_zeta3":{"value":9.5096502088033166,'
+            '"error_bound":2.8528951260816462e-10},'
+            '"variant_ratio_chain_over_paper":{"value":1.3333333333333333,"error_bound":0},'
+            '"residue_jacobian":{"value":0.25,"error_bound":0}}\n'
+        ),
+        ("table", "--kind", "S", "--bounds", "10000,30000", "--no-timing"): (
+            "kind,bound,exact,predicted,ratio,seconds\n"
+            "S,10000,1243482577325,1164376158179.821,1.0679388860631085,0\n"
+            "S,30000,37004720401265,34749450713093.484,1.0649008730178788,0\n"
+        ),
         ("verify", "--suite", "local"): "".join(
             f"PASS local_factor p={p} deg=30\n"
             for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,

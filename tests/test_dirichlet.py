@@ -19,7 +19,16 @@ from qpc import (
     zeta,
     zeta_star,
 )
-from qpc.dirichlet import _over_binomial, _times_binomial, g_factor_2, g_factor_odd
+from qpc.dirichlet import (
+    _OddFactors,
+    _check_convergence_domain,
+    _g_tail_log_bound,
+    _g_value,
+    _over_binomial,
+    _times_binomial,
+    g_factor_2,
+    g_factor_odd,
+)
 
 mpmath.mp.dps = 40
 
@@ -241,6 +250,88 @@ class TestGValue:
             g_value(0.4, 1.0, 100)
         with pytest.raises(DomainError):
             g_value(6.0, -2.0, 100)
+
+
+# G as it was evaluated before the prime-side arrays were shared between
+# points: a fresh expression, seven pows, at every (s, w).  Kept verbatim as
+# the oracle that the shared evaluation must match bit for bit.
+def reference_g_factor_odd(p, s: float, w: float):
+    """G_p(s, w) for odd p (works on numpy arrays of p)."""
+    t = (
+        1.0
+        + (p * p + p + 1) * p ** (-(s + 2 * w))
+        + (p**3 + p * p + p) * p ** (-(s + 4 * w))
+        + p**3.0 * p ** (-(2 * s + 6 * w))
+    )
+    return t * (1.0 - p * p * p ** (-(s + 2 * w))) / (1.0 - p ** (-(s + 4 * w)))
+
+
+def reference_g_value(s: float, w: float, prime_limit: int, ps: np.ndarray) -> tuple[float, float]:
+    _check_convergence_domain(s, w)
+    value = 1.0
+    log_tail = 0.0
+    if prime_limit >= 2:
+        value *= g_factor_2(s, w)
+    else:
+        log_tail += abs(math.log(g_factor_2(s, w)))
+    odd = ps[ps > 2]
+    if odd.size:
+        value *= float(np.prod(reference_g_factor_odd(odd.astype(np.float64), s, w)))
+    # analytic bound beyond max(prime_limit, 10); explicit factors in between
+    analytic_from = max(prime_limit, 10)
+    for p in (3, 5, 7):
+        if p > prime_limit:
+            log_tail += abs(math.log(float(reference_g_factor_odd(float(p), s, w))))
+    log_tail += _g_tail_log_bound(s, w, float(analytic_from))
+    tail_bound = abs(value) * math.expm1(log_tail) if math.isfinite(log_tail) else math.inf
+    return value, tail_bound
+
+
+# (1, 1) and the Richardson points of p_coefficients on the line w = (5 - s)/4
+RESIDUE_POINTS = [(1.0, 1.0)] + [
+    (s, (5.0 - s) / 4.0)
+    for eps in (1e-3, 5e-4, 1e-4, 5e-5)
+    for s in (1.0 + eps, 1.0 - eps)
+]
+# off the line s + 4w = 5, each followed by a point on it, so that a shared
+# p^-(s+4w) must be recomputed both ways; (1, 1 + 2^-40) misses 5 by 2^-38
+OFF_LINE_POINTS = [(6.0, 2.0), (7.0, 3.0), (2.0, 1.5), (1.0, 1.0 + 2.0**-40), (1.001, 1.2)]
+G_SEQUENCE = RESIDUE_POINTS[:3] + [
+    pt for pair in zip(OFF_LINE_POINTS, RESIDUE_POINTS[3:]) for pt in pair
+] + RESIDUE_POINTS[3 + len(OFF_LINE_POINTS):]
+
+
+class TestGBitIdentity:
+    def test_residue_line_is_exact_in_float(self):
+        # the premise of sharing p^-(s+4w) between the nine residue points
+        assert all(s + 4 * w == 5.0 for s, w in RESIDUE_POINTS)
+        assert all(s + 4 * w != 5.0 for s, w in OFF_LINE_POINTS)
+
+    @pytest.mark.parametrize("prime_limit", [1, 2, 3, 7, 10, 10**3, 5000, 10**6])
+    def test_g_value_matches_reference(self, prime_limit):
+        ps = primes_up_to(prime_limit)
+        shared = _OddFactors(ps)
+        for s, w in G_SEQUENCE:
+            want = reference_g_value(s, w, prime_limit, ps)
+            assert _g_value(s, w, prime_limit, shared) == want, (s, w)
+            assert _g_value(s, w, prime_limit, ps) == want, (s, w)
+        if prime_limit <= 10**3:
+            for s, w in (G_SEQUENCE[0], G_SEQUENCE[3], G_SEQUENCE[-1]):
+                assert g_value(s, w, prime_limit) == reference_g_value(s, w, prime_limit, ps)
+
+    def test_g_factor_odd_matches_reference(self):
+        # in the convergence domain p^3 z <= p^-4, so its last bits vanish
+        # from G_p; past it, as at (1.1, -0.9), p^3 z outweighs the other
+        # terms and a last-bit change in any power shows
+        primes = primes_up_to(10**5)
+        ps = primes.astype(np.float64)[1:]
+        shared = _OddFactors(primes)
+        for s, w in G_SEQUENCE + [(1.1, -0.9), (0.3, 0.05), (-0.5, 0.2)]:
+            want = reference_g_factor_odd(ps, s, w)
+            assert np.array_equal(g_factor_odd(ps, s, w), want), (s, w)
+            assert np.array_equal(shared.factors(s, w), want), (s, w)
+            for p in (3.0, 5.0, 7.0, 101.0, 9973.0):
+                assert g_factor_odd(p, s, w) == reference_g_factor_odd(p, s, w), (p, s, w)
 
 
 class TestGlobalSeries:

@@ -1,8 +1,9 @@
 """Command-line surface: count / table / verify / constant.
 
-Batch-oriented: every command prints CSV (default) or JSON to stdout and
-exits with 0 on success, 1 on invalid arguments, 2 on resource errors,
-3 on a failed verification check.
+Batch-oriented: count, table and constant print CSV (default) or JSON to
+stdout, verify one PASS or FAIL line per check.  Each subcommand takes only
+the flags it reads.  Every command exits with 0 on success, 1 on invalid
+arguments, 2 on resource errors, 3 on a failed verification check.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from . import arith, asymptotics, counting, dirichlet
 from .errors import DomainError, ResourceError
@@ -21,22 +21,6 @@ EXIT_RESOURCE = 2
 EXIT_CHECK_FAILED = 3
 
 CSV_HEADER = "kind,bound,exact,predicted,ratio,seconds"
-
-
-@dataclass
-class RunConfig:
-    sieve_limit: int = arith.DEFAULT_SIEVE_LIMIT
-    format: str = "csv"
-    prime_limit: int = 10**6
-    tolerance: float = 1e-8
-    variant: str = "chain"
-    timing: bool = True
-
-    def __post_init__(self):
-        if self.sieve_limit < 2 or self.prime_limit < 1:
-            raise ValueError("limits must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
 
 def _real(x: float) -> str:
@@ -54,9 +38,9 @@ def _record_fields(rec: counting.CountRecord, timing: bool) -> list[str | None]:
     ]
 
 
-def _emit_records(records, cfg: RunConfig) -> None:
-    rows = [_record_fields(r, cfg.timing) for r in records]
-    if cfg.format == "csv":
+def _emit_records(records, args) -> None:
+    rows = [_record_fields(r, not args.no_timing) for r in records]
+    if args.format == "csv":
         print(CSV_HEADER)
         for row in rows:
             print(",".join("" if f is None else f for f in row))
@@ -68,20 +52,18 @@ def _emit_records(records, cfg: RunConfig) -> None:
             for key, field in zip(keys, row):
                 if field is None:
                     pairs.append(f'"{key}":null')
-                elif key in ("kind",):
+                elif key in ("kind", "exact"):  # exact is a wide integer: decimal string
                     pairs.append(f'"{key}":"{field}"')
-                elif key == "exact":
-                    pairs.append(f'"{key}":"{field}"')  # wide integer: decimal string
                 else:
                     pairs.append(f'"{key}":{field}')
             items.append("{" + ",".join(pairs) + "}")
         print("[" + ",".join(items) + "]")
 
 
-def _tables_for(cfg: RunConfig, needed: int) -> arith.QTables:
-    if needed > cfg.sieve_limit:
+def _tables_for(args, needed: int) -> arith.QTables:
+    if needed > args.sieve_limit:
         raise ResourceError(
-            f"bound {needed} exceeds configured sieve limit {cfg.sieve_limit}"
+            f"bound {needed} exceeds configured sieve limit {args.sieve_limit}"
         )
     return arith.QTables()
 
@@ -91,9 +73,11 @@ def _tables_for(cfg: RunConfig, needed: int) -> arith.QTables:
 # ----------------------------------------------------------------------
 
 
-def cmd_count(args, cfg: RunConfig) -> int:
+def cmd_count(args) -> int:
     B = args.B
-    tables = _tables_for(cfg, B)
+    if args.projective and args.kind != "primitive":
+        raise DomainError("--projective needs --kind primitive")
+    tables = _tables_for(args, B)
     start = time.perf_counter()
     if args.kind == "star":
         exact = counting.n_star(B, tables)
@@ -103,52 +87,51 @@ def cmd_count(args, cfg: RunConfig) -> int:
             exact //= 2
     elapsed = time.perf_counter() - start
     rec = counting.CountRecord(args.kind, B, exact, None, None, elapsed)
-    _emit_records([rec], cfg)
+    _emit_records([rec], args)
     return EXIT_OK
 
 
-def cmd_table(args, cfg: RunConfig) -> int:
+def cmd_table(args) -> int:
     bounds = args.bounds
     if not bounds:
-        _emit_records([], cfg)
+        _emit_records([], args)
         return EXIT_OK
-    tables = _tables_for(cfg, max(bounds))
-    poly = asymptotics.p_coefficients(cfg.prime_limit)
+    tables = _tables_for(args, max(bounds))
+    poly = asymptotics.p_coefficients(args.prime_limit)
     records = asymptotics.convergence_table(
-        args.kind, bounds, tables, poly, cfg.variant
+        args.kind, bounds, tables, poly, args.variant
     )
-    _emit_records(records, cfg)
+    _emit_records(records, args)
     return EXIT_OK
 
 
-def _suite_local():
+def _suite_local(args):
     checks = []
     for p in [int(q) for q in arith.primes_up_to(100)]:
         same = dirichlet.local_factor_definition(p, 30) == dirichlet.local_factor_closed_form(p, 30)
         checks.append((f"local_factor p={p} deg=30", same, ""))
     return checks
 
-def _suite_formal():
+def _suite_formal(args):
     return [
         ("formal_identity_1", dirichlet.formal_identity_1(), "series+cross-multiplied"),
         ("formal_identity_2", dirichlet.formal_identity_2(), "series+cross-multiplied"),
     ]
 
-def _suite_global(cfg: RunConfig):
-    checks = []
-    for s, w in ((6.0, 2.0), (7.0, 3.0)):
-        res = dirichlet.global_series_check(s, w, 10**4, 10**4)
-        checks.append(
-            (f"global_series s={s:g} w={w:g}", res < cfg.tolerance, f"residual={res:.3e}")
-        )
-    return checks
+def _suite_global(args):
+    points = ((6.0, 2.0), (7.0, 3.0))
+    residuals = dirichlet.global_series_check(points, 10**4, 10**4)
+    return [
+        (f"global_series s={s:g} w={w:g}", res < args.tolerance, f"residual={res:.3e}")
+        for (s, w), res in zip(points, residuals)
+    ]
 
-def _suite_partition(cfg: RunConfig):
+def _suite_partition(args):
     import random
 
     rng = random.Random(47)
     sample = sorted(rng.sample(range(1, 4001), 40))
-    tables = _tables_for(cfg, 4000)
+    tables = arith.QTables()
     # one n-ordered pass gives N* at every sampled bound
     curve = counting.n_star_by_divisors(max(sample))
     checks = []
@@ -161,8 +144,8 @@ def _suite_partition(cfg: RunConfig):
         checks.append((f"partition B={B}", ok, ""))
     return checks
 
-def _suite_oracle(cfg: RunConfig):
-    tables = _tables_for(cfg, 64)
+def _suite_oracle(args):
+    tables = arith.QTables()
     primitive = counting.brute_force_primitive_curve(40)
     checks = []
     for B in range(0, 41):
@@ -171,8 +154,8 @@ def _suite_oracle(cfg: RunConfig):
         checks.append((f"oracle B={B}", star_ok and prim_ok, ""))
     return checks
 
-def _suite_telescope(cfg: RunConfig):
-    tables = _tables_for(cfg, 1000)
+def _suite_telescope(args):
+    tables = arith.QTables()
     checks = []
     for B in (10, 100, 1000):
         try:
@@ -186,16 +169,18 @@ def _suite_telescope(cfg: RunConfig):
     return checks
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    suites = {
-        "local": lambda: _suite_local(),
-        "formal": lambda: _suite_formal(),
-        "global": lambda: _suite_global(cfg),
-        "partition": lambda: _suite_partition(cfg),
-        "oracle": lambda: _suite_oracle(cfg),
-        "telescope": lambda: _suite_telescope(cfg),
-    }
-    checks = suites[args.suite]()
+SUITES = {
+    "local": _suite_local,
+    "formal": _suite_formal,
+    "global": _suite_global,
+    "partition": _suite_partition,
+    "oracle": _suite_oracle,
+    "telescope": _suite_telescope,
+}
+
+
+def cmd_verify(args) -> int:
+    checks = SUITES[args.suite](args)
     failed = []
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -211,8 +196,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_constant(args, cfg: RunConfig) -> int:
-    P = cfg.prime_limit
+def cmd_constant(args) -> int:
+    P = args.prime_limit
     value, tail = asymptotics.euler_product_C4(P)
     poly = asymptotics.p_coefficients(max(P, 10**3))
     z3 = dirichlet.zeta(3.0).value
@@ -229,7 +214,7 @@ def cmd_constant(args, cfg: RunConfig) -> int:
         ("variant_ratio_chain_over_paper", star_chain / star_paper, 0.0),
         ("residue_jacobian", asymptotics.RESIDUE_JACOBIAN, 0.0),
     ]
-    if cfg.format == "csv":
+    if args.format == "csv":
         print("name,value,error_bound")
         for name, v, err in fields:
             print(f"{name},{_real(v)},{_real(err)}")
@@ -253,6 +238,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"invalid int value {text!r}") from err
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _bounds_list(text: str) -> list[int]:
     if not text:
         return []
@@ -262,93 +262,73 @@ def _bounds_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"malformed bounds list {text!r}") from err
     if any(b < 0 for b in bounds):
         raise argparse.ArgumentTypeError("bounds must be non-negative")
+    if bounds != sorted(bounds):
+        raise argparse.ArgumentTypeError("bounds must be ascending")
     return bounds
 
 
-def _common(parser: _Parser) -> None:
+_THREADS_HELP = "accepted for compatibility; no effect, counts run in one process"
+
+
+def _add_record_flags(parser: _Parser) -> None:
+    """The output, bound and --threads flags of count and table."""
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="accepted for compatibility; no effect, counts run in one process")
-    parser.add_argument("--sieve-limit", type=int, default=arith.DEFAULT_SIEVE_LIMIT)
-    parser.add_argument("--prime-limit", type=int, default=10**6)
-    parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument(
         "--no-timing",
         action="store_true",
         help="zero the seconds column for byte-reproducible output",
     )
+    parser.add_argument("--sieve-limit", type=_int_at_least(2),
+                        default=arith.DEFAULT_SIEVE_LIMIT)
+    parser.add_argument("--threads", type=_int_at_least(0), default=0, help=_THREADS_HELP)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qpc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[], help="exact point count at one bound")
+    p_count = sub.add_parser("count", help="exact point count at one bound")
     p_count.add_argument("--kind", choices=("star", "primitive"), required=True)
-    p_count.add_argument("--B", type=int, required=True)
+    p_count.add_argument("--B", type=_int_at_least(0), required=True)
     p_count.add_argument("--projective", action="store_true",
                          help="report projective points (primitive tuples / 2); "
                               "--kind primitive only")
-    _common(p_count)
+    _add_record_flags(p_count)
+    p_count.set_defaults(func=cmd_count)
 
     p_table = sub.add_parser("table", help="exact counts vs. predicted main terms")
     p_table.add_argument("--kind", choices=("S", "T", "N_star", "N_u"), required=True)
     p_table.add_argument("--bounds", type=_bounds_list, required=True)
     p_table.add_argument("--variant", choices=("paper", "chain"), default="chain")
-    _common(p_table)
+    p_table.add_argument("--prime-limit", type=_int_at_least(10**3), default=10**6)
+    _add_record_flags(p_table)
+    p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run one invariant suite")
-    p_verify.add_argument(
-        "--suite",
-        choices=("local", "formal", "global", "partition", "oracle", "telescope"),
-        required=True,
-    )
-    _common(p_verify)
+    p_verify.add_argument("--suite", choices=tuple(SUITES), required=True)
+    p_verify.add_argument("--tolerance", type=float, default=1e-8,
+                          help="largest residual --suite global passes")
+    p_verify.add_argument("--threads", type=_int_at_least(0), default=0, help=_THREADS_HELP)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constant", help="print the leading constants")
-    _common(p_const)
+    p_const.add_argument("--prime-limit", type=_int_at_least(2), default=10**6)
+    p_const.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_const.set_defaults(func=cmd_constant)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", 0) < 0:
-        parser.error("--threads must be >= 0")
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            sieve_limit=args.sieve_limit,
-            format=args.format,
-            prime_limit=args.prime_limit,
-            tolerance=args.tolerance,
-            variant=getattr(args, "variant", "chain"),
-            timing=not args.no_timing,
-        )
-        if args.command == "count":
-            if args.B < 0:
-                parser.error("--B must be non-negative")
-            if args.projective and args.kind != "primitive":
-                parser.error("--projective needs --kind primitive")
-            return cmd_count(args, cfg)
-        if args.command == "table":
-            if args.bounds != sorted(args.bounds):
-                parser.error("--bounds must be ascending")
-            return cmd_table(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        if args.command == "constant":
-            if cfg.prime_limit < 2:
-                parser.error("--prime-limit must be >= 2")
-            return cmd_constant(args, cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ResourceError as err:
         print(f"resource error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, ValueError) as err:
         print(f"invalid arguments: {err}", file=sys.stderr)
         return EXIT_INVALID
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -510,29 +510,39 @@ def _g_value(s: float, w: float, prime_limit: int, ps) -> tuple[float, float]:
     return value, tail_bound
 
 
-def global_series_check(s: float, w: float, N: int, prime_limit: int) -> float:
-    """|LHS - RHS| for the factorization of the double Dirichlet series:
+def global_series_check(points, N: int, prime_limit: int) -> list[float]:
+    """|LHS - RHS| at each (s, w) of points, for the factorization of the
+    double Dirichlet series:
 
       LHS = sum_{n <= N} n^-s sum_{m | n^2} (n^4/m^2)^-w r4*(n^4/m^2)
       RHS = zeta(s) zeta(s+2w-2) zeta(s+4w-4) G(s, w)  (product to prime_limit).
 
-    The LHS is n-ordered: per block of 256 n from arith.square_divisor_blocks
-    (N <= 2^15, else ResourceError), one np.add.reduceat per n of
-    (q^2)^-w r4*(q^2) for q = n^2/m, times n^-s; math.fsum adds the N terms.
+    The LHS is n-ordered, and one pass of arith.square_divisor_blocks
+    (N <= 2^15, else ResourceError) serves every point: per block of 256 n,
+    one np.add.reduceat per n of (q^2)^-w r4*(q^2) for q = n^2/m, times
+    n^-s; math.fsum adds the N terms.  Each residual is the one a call with
+    that point alone returns.
     """
-    if s <= 5 or w <= 0:
-        raise DomainError(f"series converges for s > 5, w > 0; got ({s}, {w})")
-    terms = []
+    for s, w in points:
+        if s <= 5 or w <= 0:
+            raise DomainError(f"series converges for s > 5, w > 0; got ({s}, {w})")
+    terms = [[] for _ in points]
     for lo, counts, q, g in square_divisor_blocks(N):
-        inner = (q * q).astype(np.float64) ** (-w) * g.astype(np.float64)
-        inner = np.add.reduceat(inner, np.cumsum(counts) - counts)
-        terms.extend((np.arange(lo, lo + len(counts), dtype=np.float64) ** (-s) * inner).tolist())
-    lhs = math.fsum(terms)
-    e0, e1, e2 = _exponent_triple(s, w)
-    rhs = (
-        zeta(e0).value
-        * zeta(e1).value
-        * zeta(e2).value
-        * g_value(s, w, prime_limit)[0]
-    )
-    return abs(lhs - rhs)
+        q2 = (q * q).astype(np.float64)
+        weights = g.astype(np.float64)
+        starts = np.cumsum(counts) - counts
+        n = np.arange(lo, lo + len(counts), dtype=np.float64)
+        for (s, w), out in zip(points, terms):
+            inner = np.add.reduceat(q2 ** (-w) * weights, starts)
+            out.extend((n ** (-s) * inner).tolist())
+    residuals = []
+    for (s, w), out in zip(points, terms):
+        e0, e1, e2 = _exponent_triple(s, w)
+        rhs = (
+            zeta(e0).value
+            * zeta(e1).value
+            * zeta(e2).value
+            * g_value(s, w, prime_limit)[0]
+        )
+        residuals.append(abs(math.fsum(out) - rhs))
+    return residuals

@@ -156,8 +156,7 @@ def test_criterion_4_local_factor_suite():
 
 
 def test_criterion_5_global_factorization():
-    res1 = global_series_check(6.0, 2.0, 10**4, 10**4)
-    res2 = global_series_check(7.0, 3.0, 10**4, 10**4)
+    res1, res2 = global_series_check([(6.0, 2.0), (7.0, 3.0)], 10**4, 10**4)
     report(5, res1 < 1e-8 and res2 < 1e-8, f"residuals {res1:.2e}, {res2:.2e}")
 
 

@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +188,112 @@ class TestConstant:
         res = run_cli(*argv, "--prime-limit", str(10**12))
         assert res.returncode == 2
         assert res.stdout == "" and "resource error" in res.stderr
+
+
+BASE_ARGV = {
+    "count": ["count", "--kind", "primitive", "--B", "3"],
+    "table": ["table", "--kind", "T", "--bounds", "10"],
+    "verify": ["verify", "--suite", "formal"],
+    "constant": ["constant"],
+}
+
+
+def _parser_flags():
+    """Each subcommand's option strings, from build_parser()."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("count", ["--prime-limit", "5000"]),
+            ("count", ["--tolerance", "1e-6"]),
+            ("table", ["--tolerance", "1e-6"]),
+            ("verify", ["--format", "json"]),
+            ("verify", ["--sieve-limit", "100"]),
+            ("verify", ["--prime-limit", "5000"]),
+            ("verify", ["--no-timing"]),
+            ("constant", ["--sieve-limit", "100"]),
+            ("constant", ["--tolerance", "1e-6"]),
+            ("constant", ["--no-timing"]),
+            ("constant", ["--threads", "1"]),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exit_1(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(BASE_ARGV[command] + flag)
+        assert exc.value.code == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("count", ["--kind", "star"]),
+            ("count", ["--B", "5"]),
+            ("count", ["--projective"]),
+            ("count", ["--format", "json"]),
+            ("count", ["--no-timing"]),
+            ("count", ["--sieve-limit", "100"]),
+            ("count", ["--threads", "2"]),
+            ("table", ["--kind", "S"]),
+            ("table", ["--bounds", "10,20"]),
+            ("table", ["--variant", "paper"]),
+            ("table", ["--format", "json"]),
+            ("table", ["--no-timing"]),
+            ("table", ["--sieve-limit", "100"]),
+            ("table", ["--prime-limit", "5000"]),
+            ("table", ["--threads", "2"]),
+            ("verify", ["--suite", "local"]),
+            ("verify", ["--tolerance", "1e-6"]),
+            ("verify", ["--threads", "2"]),
+            ("constant", ["--prime-limit", "5000"]),
+            ("constant", ["--format", "json"]),
+        ],
+    )
+    def test_flag_the_command_reads_is_parsed(self, command, flag):
+        parser = cli.build_parser()
+        plain = vars(parser.parse_args(BASE_ARGV[command]))
+        assert plain["func"] is getattr(cli, f"cmd_{command}")
+        assert vars(parser.parse_args(BASE_ARGV[command] + flag)) != plain
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--kind", "T", "--bounds", "10", "--prime-limit", "999"),
+            ("table", "--kind", "T", "--bounds", "", "--prime-limit", "999"),
+            ("table", "--kind", "T", "--bounds", "100,10"),
+            ("count", "--kind", "star", "--B", "-1"),
+            ("count", "--kind", "star", "--B", "3", "--sieve-limit", "1"),
+            ("constant", "--prime-limit", "1"),
+            ("verify", "--suite", "formal", "--threads", "-1"),
+        ],
+    )
+    def test_out_of_range_value_refused_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: argument" in captured.err
+
+    def test_readme_lists_each_commands_flags(self):
+        # the README's per-command lists and the parser must not drift apart
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("Flags by command")[1].split("\n\n")[1]
+        documented = {
+            command: set(re.findall(r"`(--[\w-]+)", body))
+            for command, body in re.findall(r"^- `(\w+)`:(.*?)(?=^- `|\Z)", section, re.M | re.S)
+        }
+        parsed = _parser_flags()
+        assert documented == parsed
+        assert sum(len(flags) for flags in parsed.values()) == 20
 
 
 class TestGolden:
@@ -411,15 +520,15 @@ class TestVerifySuitesEndToEnd:
         # every count reads the q-tables alone; the SPF table belongs to the
         # n-ordered oracles
         commands = [
-            ["count", "--kind", "star", "--B", "3000"],
-            ["count", "--kind", "primitive", "--B", "3000"],
-            *(["table", "--kind", kind, "--bounds", "10,1000", "--prime-limit", "5000"]
-              for kind in ("S", "T", "N_star", "N_u")),
+            ["count", "--kind", "star", "--B", "3000", "--no-timing"],
+            ["count", "--kind", "primitive", "--B", "3000", "--no-timing"],
+            *(["table", "--kind", kind, "--bounds", "10,1000", "--prime-limit", "5000",
+               "--no-timing"] for kind in ("S", "T", "N_star", "N_u")),
             ["verify", "--suite", "telescope"],
         ]
         want = []
         for argv in commands:
-            assert cli.main(argv + ["--no-timing"]) == cli.EXIT_OK, argv
+            assert cli.main(argv) == cli.EXIT_OK, argv
             want.append(capsys.readouterr().out)
         # the oracle suite's output is known without running it twice
         commands.append(["verify", "--suite", "oracle"])
@@ -430,5 +539,5 @@ class TestVerifySuitesEndToEnd:
 
         monkeypatch.setattr(arith, "build_spf_sieve", no_sieve)
         for argv, out in zip(commands, want):
-            assert cli.main(argv + ["--no-timing"]) == cli.EXIT_OK, argv
+            assert cli.main(argv) == cli.EXIT_OK, argv
             assert capsys.readouterr().out == out, argv

@@ -336,14 +336,21 @@ class TestGBitIdentity:
 
 class TestGlobalSeries:
     def test_residual_62(self):
-        assert global_series_check(6.0, 2.0, 10**4, 10**4) < 1e-8
+        assert global_series_check([(6.0, 2.0)], 10**4, 10**4)[0] < 1e-8
 
     def test_residual_73(self):
-        assert global_series_check(7.0, 3.0, 10**4, 10**4) < 1e-8
+        assert global_series_check([(7.0, 3.0)], 10**4, 10**4)[0] < 1e-8
+
+    @pytest.mark.parametrize("N", [1, 255, 256, 257, 3000])
+    def test_one_pass_equals_one_point_at_a_time(self, N):
+        # the points share one divisor pass, not one accumulator
+        points = [(6.0, 2.0), (7.0, 3.0), (5.5, 0.7), (8.25, 1.3)]
+        alone = [global_series_check([point], N, 1000)[0] for point in points]
+        assert global_series_check(points, N, 1000) == alone
 
     def test_truncation_sanity(self):
         # N = 1 keeps only the n = 1 term: residual is |1 - RHS| > 0
-        res = global_series_check(6.0, 2.0, 1, 100)
+        [res] = global_series_check([(6.0, 2.0)], 1, 100)
         e0, e1, e2 = 6.0, 8.0, 10.0
         rhs = zeta(e0).value * zeta(e1).value * zeta(e2).value * g_value(6.0, 2.0, 100)[0]
         assert res == pytest.approx(abs(1.0 - rhs))
@@ -351,7 +358,9 @@ class TestGlobalSeries:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            global_series_check(4.0, 2.0, 100, 100)
+            global_series_check([(4.0, 2.0)], 100, 100)
+        with pytest.raises(DomainError):
+            global_series_check([(6.0, 2.0), (6.0, 0.0)], 100, 100)
 
 
 def test_local_factor_argument_guards():

@@ -199,7 +199,7 @@ def cmd_verify(args) -> int:
 def cmd_constant(args) -> int:
     P = args.prime_limit
     value, tail = asymptotics.euler_product_C4(P)
-    poly = asymptotics.p_coefficients(max(P, 10**3))
+    poly = asymptotics.p_coefficients(P)
     z3 = dirichlet.zeta(3.0).value
     star_paper = asymptotics.NSTAR_VARIANTS["paper"] * value
     star_chain = asymptotics.NSTAR_VARIANTS["chain"] * value
@@ -312,7 +312,7 @@ def build_parser() -> _Parser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constant", help="print the leading constants")
-    p_const.add_argument("--prime-limit", type=_int_at_least(2), default=10**6)
+    p_const.add_argument("--prime-limit", type=_int_at_least(10**3), default=10**6)
     p_const.add_argument("--format", choices=("csv", "json"), default="csv")
     p_const.set_defaults(func=cmd_constant)
 

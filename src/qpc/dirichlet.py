@@ -119,26 +119,33 @@ _XW = (1, 0)  # truncate on X-degree only; Y-degree is 4*deg(X) + O(1) by constr
 _LOCAL_DEG_CAP = 200
 
 
-def _times_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
-    """f * (1 - a X Y^b) in one pass: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)]."""
-    c = dict(f.coeffs)
-    for (nu, mu), v in f.coeffs.items():
-        c[nu + 1, mu + b] = c.get((nu + 1, mu + b), 0) - a * v
-    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+def _times_binomial(rows: list[dict], a: int, b: int) -> None:
+    """rows * (1 - a X Y^b) in place: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)],
+    taken in descending X-degree so that each row reads the one below it
+    unchanged.  Row nu holds the coefficients of X^nu, keyed by Y-exponent;
+    no row past the last is written, so the product stays truncated."""
+    for nu in range(len(rows) - 1, 0, -1):
+        row = rows[nu]
+        for mu, v in rows[nu - 1].items():
+            row[mu + b] = row.get(mu + b, 0) - a * v
 
 
-def _over_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
-    """f / (1 - a X Y^b) by the recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)],
-    taken in ascending X-degree."""
-    rows = [{} for _ in range(f.max_degree + 1)]
-    for (nu, mu), v in f.coeffs.items():
-        rows[nu][mu] = v
+def _over_binomial(rows: list[dict], a: int, b: int) -> None:
+    """rows / (1 - a X Y^b) in place, by the recurrence
+    c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)] in ascending X-degree."""
     for nu in range(1, len(rows)):
         row = rows[nu]
         for mu, v in rows[nu - 1].items():
             row[mu + b] = row.get(mu + b, 0) + a * v
-    c = {(nu, mu): v for nu, row in enumerate(rows) for mu, v in row.items()}
-    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+
+
+def _xw_series(rows: list[dict]) -> TruncSeries:
+    """The series in X, Y truncated at X-degree len(rows) - 1 whose X^nu
+    coefficients are rows[nu], with the zeros dropped.  Every term is within
+    the truncation, so none is filtered."""
+    out = TruncSeries(2, None, max_degree=len(rows) - 1, weights=_XW)
+    out.coeffs = {(nu, mu): v for nu, row in enumerate(rows) for mu, v in row.items() if v}
+    return out
 
 
 def _check_local_args(p: int, deg: int) -> None:
@@ -154,19 +161,14 @@ def local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
         sum_{nu <= deg} X^nu sum_{0 <= mu <= 2 nu} Y^(2 mu) r4*(p^(2 mu)).
     """
     _check_local_args(p, deg)
-    coeffs = {}
     r4s_cache = [1]
     ppow = 1
     for mu in range(1, 2 * deg + 1):
         ppow *= p * p
-        r4s_cache.append(
-            r4_star(FactoredInteger(ppow, ((p, 2 * mu),)))
-        )
-    for nu in range(deg + 1):
-        for mu in range(2 * nu + 1):
-            key = (nu, 2 * mu)
-            coeffs[key] = coeffs.get(key, 0) + r4s_cache[mu]
-    return TruncSeries(2, coeffs, max_degree=deg, weights=_XW)
+        r4s_cache.append(r4_star(FactoredInteger(ppow, ((p, 2 * mu),))))
+    return _xw_series(
+        [{2 * mu: r4s_cache[mu] for mu in range(2 * nu + 1)} for nu in range(deg + 1)]
+    )
 
 
 def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
@@ -177,25 +179,26 @@ def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
     times the local correction G_p (odd p) or G_2.
 
     The form is built as G's numerator times binomials 1 - a X Y^b, divided
-    by binomials, with no series inverse and no series product.  Multiplying
+    by binomials, with no series inverse and no series product, on one dict
+    of Y-exponents per X-degree that becomes a TruncSeries once.  Multiplying
     by a binomial moves each term once, and dividing by one is the
     recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)] in ascending
     X-degree, so each step costs O(terms), not the O(terms^2) of a dense
     inverse and product."""
     _check_local_args(p, deg)
     if p == 2:
-        numerator = {(0, 0): 1, (1, 2): 3, (1, 4): 2}
+        numerator = [{0: 1}, {2: 3, 4: 2}]
         times = ((4, 2), (16, 4))
     else:
-        numerator = {(0, 0): 1, (1, 2): p * p + p + 1, (1, 4): p**3 + p * p + p, (2, 6): p**3}
+        numerator = [{0: 1}, {2: p * p + p + 1, 4: p**3 + p * p + p}, {6: p**3}]
         times = ((p * p, 2),)
-    f = TruncSeries(2, numerator, max_degree=deg, weights=_XW)
+    rows = numerator[: deg + 1] + [{} for _ in range(deg + 1 - len(numerator))]
     for a, b in times:
-        f = _times_binomial(f, a, b)
+        _times_binomial(rows, a, b)
     # over G's 1 - X Y^4, then the zeta-type factors j = 0, 1, 2
     for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
-        f = _over_binomial(f, a, b)
-    return f
+        _over_binomial(rows, a, b)
+    return _xw_series(rows)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,9 @@ of X^k terms is bounded by construction).
 
 from __future__ import annotations
 
+import math
 import operator
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -26,8 +28,9 @@ class TruncSeries:
         if len(self.weights) != nvars:
             raise ValueError("one weight per variable")
         self.max_degree = max_degree
-        keeps = self._keeps
-        self.coeffs = {e: c for e, c in coeffs.items() if c and keeps(e)} if coeffs else {}
+        top = math.inf if max_degree is None else max_degree
+        w, coeffs = self.weights, coeffs or {}
+        self.coeffs = {e: c for e, c in coeffs.items() if c and sum(map(operator.mul, w, e)) <= top}
 
     # -- construction helpers ------------------------------------------
 
@@ -40,15 +43,7 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, coef, exps, max_degree=None, weights=None):
-        out = cls(len(exps), None, max_degree, weights)
-        if coef and out._keeps(tuple(exps)):
-            out.coeffs[tuple(exps)] = coef
-        return out
-
-    def _keeps(self, exps) -> bool:
-        if self.max_degree is None:
-            return True
-        return sum(map(operator.mul, self.weights, exps)) <= self.max_degree
+        return cls(len(exps), {tuple(exps): coef}, max_degree, weights)
 
     def _like(self) -> "TruncSeries":
         return TruncSeries(self.nvars, None, self.max_degree, self.weights)
@@ -101,16 +96,19 @@ class TruncSeries:
         self._compatible(other)
         out = self._like()
         acc = out.coeffs
-        keeps = self._keeps
         a_items = list(self.coeffs.items())
         b_items = list(other.coeffs.items())
         if len(a_items) > len(b_items):
             a_items, b_items = b_items, a_items
+        # each term of the smaller operand meets only the terms of the larger,
+        # sorted by weighted degree, whose products stay within the truncation
+        top = math.inf if self.max_degree is None else self.max_degree
+        w, add = self.weights, operator.add
+        b_items.sort(key=lambda t: sum(map(operator.mul, w, t[0])))
+        b_degs = [sum(map(operator.mul, w, e)) for e, _ in b_items]
         for e1, c1 in a_items:
-            for e2, c2 in b_items:
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                if not keeps(exps):
-                    continue
+            for e2, c2 in b_items[: bisect_right(b_degs, top - sum(map(operator.mul, w, e1)))]:
+                exps = tuple(map(add, e1, e2))
                 new = acc.get(exps, 0) + c1 * c2
                 if new:
                     acc[exps] = new
@@ -170,14 +168,12 @@ class TruncSeries:
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        return self._normalized() == other._normalized()
+        # no operation stores a zero, and an int equals, and hashes like,
+        # the Fraction of the same value
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self._normalized().items()))))
-
-    def _normalized(self) -> dict:
-        # an int equals, and hashes like, the Fraction of the same value
-        return {e: c for e, c in self.coeffs.items() if c}
+        return hash((self.nvars, tuple(sorted(self.coeffs.items()))))
 
     def coefficient(self, exps) -> Fraction:
         return Fraction(self.coeffs.get(tuple(exps), 0))

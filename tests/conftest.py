@@ -40,3 +40,12 @@ def divisors_from_factors(factors):
 def r4_star_divisor_oracle(d_factors):
     """r4*(d) the slow way: literally sum divisors not divisible by 4."""
     return sum(l for l in divisors_from_factors(d_factors) if l % 4 != 0)
+
+
+def xw_rows(f):
+    """The X-degree rows of a series in X, Y, as the local-factor binomial
+    steps take them: row nu maps each Y-exponent to its coefficient of X^nu."""
+    rows = [{} for _ in range(f.max_degree + 1)]
+    for (nu, mu), v in f.coeffs.items():
+        rows[nu][mu] = v
+    return rows

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import xw_rows
 from qpc import QTables, TruncSeries, arith, cli, counting, dirichlet
 
 QPC = [sys.executable, "-m", "qpc.cli"]
@@ -167,14 +168,16 @@ class TestConstant:
         assert ratio == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     def test_small_prime_limits_differ(self):
-        a = run_cli("constant", "--prime-limit", "2").stdout
-        b = run_cli("constant", "--prime-limit", "3").stdout
+        # 1009 is prime, so the product gains a factor
+        a = run_cli("constant", "--prime-limit", "1000").stdout
+        b = run_cli("constant", "--prime-limit", "1009").stdout
         a_c4 = float(a.splitlines()[1].split(",")[1])
         b_c4 = float(b.splitlines()[1].split(",")[1])
         assert a_c4 != b_c4
 
     def test_prime_limit_guard(self):
         assert run_cli("constant", "--prime-limit", "1").returncode == 1
+        assert run_cli("constant", "--prime-limit", "999").returncode == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -488,11 +491,13 @@ class TestVerifySuitesEndToEnd:
             if p != bad:
                 return closed_form(p, deg)
             bump = TruncSeries.monomial(1, (1, 2), max_degree=deg, weights=(1, 0))
+            # the binomial steps act on X-degree rows: series to rows and back
+            rows = xw_rows(bump)
             for a, b in ((4, 2), (16, 4)) if p == 2 else ((p * p, 2),):
-                bump = dirichlet._times_binomial(bump, a, b)
+                dirichlet._times_binomial(rows, a, b)
             for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
-                bump = dirichlet._over_binomial(bump, a, b)
-            return closed_form(p, deg) + bump
+                dirichlet._over_binomial(rows, a, b)
+            return closed_form(p, deg) + dirichlet._xw_series(rows)
 
         monkeypatch.setattr(dirichlet, "local_factor_closed_form", skewed)
         assert cli.main(["verify", "--suite", "local"]) == cli.EXIT_CHECK_FAILED

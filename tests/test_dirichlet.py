@@ -19,13 +19,18 @@ from qpc import (
     zeta,
     zeta_star,
 )
+from conftest import xw_rows
+from qpc.arith import FactoredInteger, r4_star
 from qpc.dirichlet import (
+    _XW,
     _OddFactors,
     _check_convergence_domain,
+    _check_local_args,
     _g_tail_log_bound,
     _g_value,
     _over_binomial,
     _times_binomial,
+    _xw_series,
     g_factor_2,
     g_factor_odd,
 )
@@ -149,6 +154,14 @@ def _random_xw_series(rng, deg):
     return TruncSeries(2, coeffs, max_degree=deg, weights=(1, 0))
 
 
+def _on_rows(step, f, a, b):
+    """A binomial step of the closed form applied to the series f, through
+    its rows and back."""
+    rows = xw_rows(f)
+    step(rows, a, b)
+    return _xw_series(rows)
+
+
 class TestBinomialHelpers:
     # the oracle is the dense route: a series product and TruncSeries.inverse
 
@@ -162,13 +175,94 @@ class TestBinomialHelpers:
                 for _ in range(3):
                     f = _random_xw_series(rng, deg)
                     for got, want in (
-                        (_times_binomial(f, a, b), f * binomial),
-                        (_over_binomial(f, a, b), f * binomial.inverse()),
+                        (_on_rows(_times_binomial, f, a, b), f * binomial),
+                        (_on_rows(_over_binomial, f, a, b), f * binomial.inverse()),
                     ):
                         assert got == want, (a, b)
                         # no stored zero and no missing term
                         assert got.coeffs == want.coeffs, (a, b)
                         assert (got.max_degree, got.weights) == (deg, (1, 0))
+
+
+# The local factors as they were built before the closed form kept X-degree
+# rows: each binomial step rebuilt a TruncSeries, whose constructor dropped
+# the zeros and the terms past the truncation.  Kept verbatim as the oracle
+# that the row-based build must match coefficient for coefficient.
+def reference_times_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
+    """f * (1 - a X Y^b) in one pass: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)]."""
+    c = dict(f.coeffs)
+    for (nu, mu), v in f.coeffs.items():
+        c[nu + 1, mu + b] = c.get((nu + 1, mu + b), 0) - a * v
+    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+
+
+def reference_over_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
+    """f / (1 - a X Y^b) by the recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)],
+    taken in ascending X-degree."""
+    rows = [{} for _ in range(f.max_degree + 1)]
+    for (nu, mu), v in f.coeffs.items():
+        rows[nu][mu] = v
+    for nu in range(1, len(rows)):
+        row = rows[nu]
+        for mu, v in rows[nu - 1].items():
+            row[mu + b] = row.get(mu + b, 0) + a * v
+    c = {(nu, mu): v for nu, row in enumerate(rows) for mu, v in row.items()}
+    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+
+
+def reference_local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
+    _check_local_args(p, deg)
+    coeffs = {}
+    r4s_cache = [1]
+    ppow = 1
+    for mu in range(1, 2 * deg + 1):
+        ppow *= p * p
+        r4s_cache.append(
+            r4_star(FactoredInteger(ppow, ((p, 2 * mu),)))
+        )
+    for nu in range(deg + 1):
+        for mu in range(2 * nu + 1):
+            key = (nu, 2 * mu)
+            coeffs[key] = coeffs.get(key, 0) + r4s_cache[mu]
+    return TruncSeries(2, coeffs, max_degree=deg, weights=_XW)
+
+
+def reference_local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
+    _check_local_args(p, deg)
+    if p == 2:
+        numerator = {(0, 0): 1, (1, 2): 3, (1, 4): 2}
+        times = ((4, 2), (16, 4))
+    else:
+        numerator = {(0, 0): 1, (1, 2): p * p + p + 1, (1, 4): p**3 + p * p + p, (2, 6): p**3}
+        times = ((p * p, 2),)
+    f = TruncSeries(2, numerator, max_degree=deg, weights=_XW)
+    for a, b in times:
+        f = reference_times_binomial(f, a, b)
+    # over G's 1 - X Y^4, then the zeta-type factors j = 0, 1, 2
+    for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
+        f = reference_over_binomial(f, a, b)
+    return f
+
+
+class TestLocalFactorsMatchReference:
+    @pytest.mark.parametrize("deg", [0, 1, 2, 30])
+    def test_every_prime_to_100(self, deg):
+        for p in [int(q) for q in primes_up_to(100)]:
+            self._check(p, deg)
+
+    @pytest.mark.parametrize("p", [2, 3, 97])
+    def test_degree_100(self, p):
+        self._check(p, 100)
+
+    @staticmethod
+    def _check(p, deg):
+        for got, want in (
+            (local_factor_closed_form(p, deg), reference_local_factor_closed_form(p, deg)),
+            (local_factor_definition(p, deg), reference_local_factor_definition(p, deg)),
+        ):
+            assert got.coeffs == want.coeffs, (p, deg)
+            assert (got.nvars, got.max_degree, got.weights) == (2, deg, (1, 0))
+            assert all(got.coeffs.values()), (p, deg)
 
 
 class TestFormalIdentities:

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -130,3 +132,110 @@ def test_rational_function_arithmetic():
     assert a + b == RationalFunction(one + x, one - x)
     assert a / a == RationalFunction.from_poly(one)
     assert a * b == RationalFunction(x, (one - x) * (one - x))
+
+
+# TruncSeries.__mul__ as it was before the product sorted its larger operand
+# by weighted degree: every pair of terms, each kept or dropped by the
+# truncation test.  Kept verbatim as the oracle the product must match, but
+# for that test, which was then the method TruncSeries._keeps.
+def reference_keeps(self, exps) -> bool:
+    if self.max_degree is None:
+        return True
+    return sum(map(operator.mul, self.weights, exps)) <= self.max_degree
+
+
+def reference_mul(self, other):
+    if isinstance(other, (int, Fraction)):
+        out = self._like()
+        if other:
+            out.coeffs = {e: c * other for e, c in self.coeffs.items()}
+        return out
+    self._compatible(other)
+    out = self._like()
+    acc = out.coeffs
+    keeps = functools.partial(reference_keeps, self)
+    a_items = list(self.coeffs.items())
+    b_items = list(other.coeffs.items())
+    if len(a_items) > len(b_items):
+        a_items, b_items = b_items, a_items
+    for e1, c1 in a_items:
+        for e2, c2 in b_items:
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if not keeps(exps):
+                continue
+            new = acc.get(exps, 0) + c1 * c2
+            if new:
+                acc[exps] = new
+            else:
+                del acc[exps]
+    return out
+
+
+def _random_terms(rng, weights, max_degree, fractions):
+    """Up to 40 random terms, some past the truncation, some of them zero."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 40)):
+        exps = tuple(rng.randint(0, 5) for _ in weights)
+        c = rng.randint(-4, 4)
+        coeffs[exps] = Fraction(c, rng.randint(1, 5)) if fractions else c
+    return TruncSeries(len(weights), coeffs, max_degree, weights)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 0), (2, 1)])
+@pytest.mark.parametrize("max_degree", [None, 0, 3, 8])
+@pytest.mark.parametrize("fractions", [False, True])
+def test_mul_matches_all_pairs_reference(weights, max_degree, fractions):
+    rng = random.Random(f"{weights} {max_degree} {fractions}")
+    for _ in range(20):
+        a = _random_terms(rng, weights, max_degree, fractions)
+        b = _random_terms(rng, weights, max_degree, fractions)
+        for x, y in ((a, b), (b, a), (a, a), (a, -a), (a + b, a - b)):
+            got = x * y
+            want = reference_mul(x, y)
+            assert got.coeffs == want.coeffs
+            assert (got.nvars, got.max_degree, got.weights) == (x.nvars, max_degree, weights)
+            assert all(got.coeffs.values())
+
+
+@pytest.mark.parametrize("max_degree", [None, 2, 6])
+def test_mul_cancels_terms_to_zero(max_degree):
+    one = TruncSeries.constant(1, 2, max_degree)
+    x = TruncSeries.monomial(1, (1, 0), max_degree)
+    y = TruncSeries.monomial(Fraction(1, 3), (0, 1), max_degree)
+    # (x + y)(x - y): the xy terms cancel
+    got = (x + y) * (x - y)
+    assert got.coeffs == reference_mul(x + y, x - y).coeffs
+    if max_degree is None or max_degree >= 2:
+        assert got.coeffs == {(2, 0): 1, (0, 2): Fraction(-1, 9)}
+    # (1 + x)(1 - x + x^2 - ... +- x^6): every middle term cancels
+    alternating = sum(((-x) ** k for k in range(7)), TruncSeries(2, None, max_degree))
+    got = (one + x) * alternating
+    assert got.coeffs == reference_mul(one + x, alternating).coeffs
+    want = {(0, 0): 1} if max_degree is not None and max_degree <= 6 else {(0, 0): 1, (7, 0): 1}
+    assert got.coeffs == want
+    # a product of series that are nonzero but past the truncation together
+    if max_degree is not None:
+        high = TruncSeries.monomial(1, (max_degree, 0), max_degree)
+        assert (high * x).coeffs == {} == reference_mul(high, x).coeffs
+
+
+def test_no_operation_stores_a_zero():
+    # equality and hashing compare the stored coefficients directly
+    rng = random.Random(7)
+    for weights, top in (((1, 1), 6), ((1, 0), 3), ((1, 1), None)):
+        seen = []
+        for _ in range(30):
+            a = _random_terms(rng, weights, top, rng.random() < 0.5)
+            b = _random_terms(rng, weights, top, rng.random() < 0.5)
+            seen += [a, b, a + b, a - b, b - b, -a, 1 - a, a + 0, a * b, a * 0, a * Fraction(1, 3)]
+            seen += [a**2, a.set_zero(0), TruncSeries.constant(0, 2, top, weights)]
+            seen.append(TruncSeries.monomial(0, (1, 1), top, weights))
+            if top is not None:
+                positive = {e: c for e, c in a.coeffs.items() if e[0] >= 1}
+                unit = TruncSeries(2, positive, top, weights) + rng.choice((1, -2, Fraction(1, 3)))
+                seen.append(unit.inverse())
+        for s in seen:
+            assert all(s.coeffs.values()), s.coeffs
+    one = TruncSeries.constant(1, 1)
+    rf = RationalFunction(one, one - TruncSeries.monomial(1, (1,)))
+    assert all((rf - rf).num.coeffs.values())

@@ -3,16 +3,10 @@ the quartic hypersurface x^4 = (y1^2 + y2^2 + y3^2 + y4^2) z^2."""
 
 from .arith import (
     DEFAULT_SIEVE_LIMIT,
-    FactoredInteger,
     QTables,
     build_spf_sieve,
-    factorize,
-    mobius,
     primes_up_to,
-    r4,
-    r4_star,
     square_divisor_blocks,
-    square_divisor_weights,
 )
 from .asymptotics import (
     NSTAR_VARIANTS,

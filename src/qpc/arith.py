@@ -1,21 +1,23 @@
-"""Sieve, factorization, and the multiplicative functions behind the counts.
+"""Sieves and the multiplicative functions behind the counts.
 
-Everything downstream (counting, Euler factors, constants) consumes the
-two arithmetic primitives defined here:
+Everything downstream (counting, Euler factors, constants) is built on
 
     r4*(d) = sum of divisors l of d with l not divisible by 4,
 
-so that 8*r4*(d) counts representations of d as a sum of four squares, and
-smallest-prime-factor (SPF) factorization for the n-ordered oracles.  The
-counts read only three q-indexed tables, g(q) = r4*(q^2), kappa(q) and the
-Mobius function mu(q), which one segmented sieve builds block by block
-(QTables.upto); the squarefree part of q is kappa(q)^2 / q.
+so that 8*r4*(d) counts representations of d as a sum of four squares.
+Only its values at squares enter, and on a prime power r4*(p^(2b)) is
+r4_star_p2b(p, b).  The counts read three q-indexed tables, g(q) =
+r4*(q^2), kappa(q) and the Mobius function mu(q), which one segmented
+sieve builds block by block (QTables.upto); the squarefree part of q is
+kappa(q)^2 / q.  The n-ordered oracle square_divisor_blocks factors n
+through a smallest-prime-factor (SPF) table instead, and primes_up_to
+lists the primes of the Euler products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,63 +46,17 @@ SQUARE_BLOCK = 256
 _NO_TABLES = tuple(np.broadcast_to(dtype(0), 1) for dtype in (np.int64, np.int32, np.int8))
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer with its full prime factorization.
+class SpfSieve(NamedTuple):
+    """Smallest-prime-factor table covering 2..limit, through which
+    square_divisor_blocks factors n.
 
-    factors is a tuple of (prime, exponent) pairs with primes strictly
-    increasing and exponents >= 1; value == product of p**e; value == 1
-    iff factors is empty.
+    spf is a read-only uint32 numpy array of length limit+1 with spf[i] the
+    smallest prime factor of i for 2 <= i <= limit (spf[p] == p exactly for
+    primes) and spf[1] == 1.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError(f"value must be positive, got {self.value}")
-        prod = 1
-        last_p = 1
-        for p, e in self.factors:
-            if p <= last_p:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            last_p = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.value}")
-
-
-class SpfSieve:
-    """Smallest-prime-factor table covering 2..limit, for the n-ordered oracles.
-
-    spf is a uint32 numpy array of length limit+1 with spf[i] the smallest
-    prime factor of i for 2 <= i <= limit (spf[p] == p exactly for primes);
-    it is immutable after construction.
-    """
-
-    __slots__ = ("limit", "spf")
-
-    def __init__(self, limit: int, spf: np.ndarray):
-        self.limit = limit
-        self.spf = spf
-
-    def factor_list(self, n: int) -> list[tuple[int, int]]:
-        """Fast-path factorization as a plain list of (prime, exponent)."""
-        if not 1 <= n <= self.limit:
-            raise ResourceError(f"{n} outside sieve range [1, {self.limit}]")
-        out = []
-        spf = self.spf
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            a = 0
-            while m % p == 0:
-                a += 1
-                m //= p
-            out.append((p, a))
-        return out
+    limit: int
+    spf: np.ndarray
 
 
 class QTables:
@@ -163,8 +119,7 @@ def _prime_plan(top: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray,
         while p ** (amax + 1) <= top:
             amax += 1
         exps = range(amax + 1)
-        # r4*(p^(2a)) as in r4_star: 3 for p = 2 and a >= 1, else (p^(2a+1) - 1)/(p - 1)
-        local = [1] + [3 if p == 2 else (p ** (2 * a + 1) - 1) // (p - 1) for a in exps[1:]]
+        local = [r4_star_p2b(p, a) for a in exps]
         plan.append((
             p,
             np.array([p**a for a in exps], dtype=np.int64),
@@ -238,60 +193,12 @@ def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> S
     return SpfSieve(limit, spf)
 
 
-def factorize(n: int, sieve: SpfSieve) -> FactoredInteger:
-    """Factor n through the sieve; n must lie in [1, sieve.limit]."""
-    return FactoredInteger(n, tuple(sieve.factor_list(n)))
-
-
-def r4_star(d: FactoredInteger) -> int:
-    """Sum of divisors of d not divisible by 4.
-
-    Multiplicative: sigma(p^a) = (p^(a+1)-1)/(p-1) for odd p, and the
-    factor for 2^a (a >= 1) is 1 + 2 = 3 since 4 | 2^b for b >= 2.
-    """
-    out = 1
-    for p, a in d.factors:
-        if p == 2:
-            out *= 3
-        else:
-            out *= (p ** (a + 1) - 1) // (p - 1)
-    return out
-
-
-def r4(d: FactoredInteger) -> int:
-    """Number of (y1,..,y4) in Z^4 with y1^2+..+y4^2 = d, i.e. 8*r4*(d)."""
-    return 8 * r4_star(d)
-
-
-def mobius(n: FactoredInteger) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    for _, a in n.factors:
-        if a > 1:
-            return 0
-    return -1 if len(n.factors) % 2 else 1
-
-
-def square_divisor_weights(factors) -> list[tuple[int, int]]:
-    """(q, r4*(q^2)) for every divisor q of n^2, in no particular order,
-    where factors are the (p, a) pairs of n, as in FactoredInteger.factors
-    or SpfSieve.factor_list(n): the per-integer oracle of
-    square_divisor_blocks.
-
-    The q^2 are exactly the divisors d of n^4 whose cofactor n^4/d is a
-    square, so only tau(n^2) pairs are enumerated instead of tau(n^4)
-    divisors filtered by a square test.  Both entries are built
-    multiplicatively, one prime power p^b (0 <= b <= 2a) at a time.
-    """
-    pairs = [(1, 1)]
-    for p, a in factors:
-        powers = [(1, 1)]
-        pb = 1
-        for _ in range(2 * a):
-            pb *= p
-            # r4*(p^(2b)) as in r4_star: 3 for p = 2, else (p^(2b+1) - 1)/(p - 1)
-            powers.append((pb, 3 if p == 2 else (pb * pb * p - 1) // (p - 1)))
-        pairs = [(q * pb, w * wb) for pb, wb in powers for q, w in pairs]
-    return pairs
+def r4_star_p2b(p: int, b: int) -> int:
+    """r4*(p^(2b)) for a prime p and b >= 0, in Python ints: 3 (= 1 + 2)
+    for p = 2 and b >= 1, else sigma(p^(2b)) = (p^(2b+1) - 1)/(p - 1)."""
+    if p == 2 and b:
+        return 3
+    return (p ** (2 * b + 1) - 1) // (p - 1)
 
 
 def square_divisor_blocks(limit: int):

@@ -9,6 +9,7 @@ arguments, 2 on resource errors, 3 on a failed verification check.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -253,6 +254,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_real(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"invalid float value {text!r}") from err
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _bounds_list(text: str) -> list[int]:
     if not text:
         return []
@@ -306,7 +318,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run one invariant suite")
     p_verify.add_argument("--suite", choices=tuple(SUITES), required=True)
-    p_verify.add_argument("--tolerance", type=float, default=1e-8,
+    p_verify.add_argument("--tolerance", type=_positive_real, default=1e-8,
                           help="largest residual --suite global passes")
     p_verify.add_argument("--threads", type=_int_at_least(0), default=0, help=_THREADS_HELP)
     p_verify.set_defaults(func=cmd_verify)

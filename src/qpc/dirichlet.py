@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import FactoredInteger, primes_up_to, r4_star, square_divisor_blocks
+from .arith import primes_up_to, r4_star_p2b, square_divisor_blocks
 from .errors import DomainError
 from .series import RationalFunction, TruncSeries
 
@@ -161,14 +161,8 @@ def local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
         sum_{nu <= deg} X^nu sum_{0 <= mu <= 2 nu} Y^(2 mu) r4*(p^(2 mu)).
     """
     _check_local_args(p, deg)
-    r4s_cache = [1]
-    ppow = 1
-    for mu in range(1, 2 * deg + 1):
-        ppow *= p * p
-        r4s_cache.append(r4_star(FactoredInteger(ppow, ((p, 2 * mu),))))
-    return _xw_series(
-        [{2 * mu: r4s_cache[mu] for mu in range(2 * nu + 1)} for nu in range(deg + 1)]
-    )
+    r4s = [r4_star_p2b(p, mu) for mu in range(2 * deg + 1)]
+    return _xw_series([{2 * mu: r4s[mu] for mu in range(2 * nu + 1)} for nu in range(deg + 1)])
 
 
 def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:

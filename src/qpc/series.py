@@ -175,15 +175,6 @@ class TruncSeries:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.coeffs.items()))))
 
-    def coefficient(self, exps) -> Fraction:
-        return Fraction(self.coeffs.get(tuple(exps), 0))
-
-    def set_zero(self, var: int) -> "TruncSeries":
-        """Substitute 0 for one variable (keep only monomials without it)."""
-        out = self._like()
-        out.coeffs = {e: c for e, c in self.coeffs.items() if e[var] == 0}
-        return out
-
     def __repr__(self):
         n = len(self.coeffs)
         return f"TruncSeries(nvars={self.nvars}, terms={n}, max_degree={self.max_degree})"

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from qpc import QTables, build_spf_sieve
+from qpc import QTables, TruncSeries, build_spf_sieve
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,47 @@ def sieve_mid():
 @pytest.fixture(scope="session")
 def sieve_big():
     return build_spf_sieve(10**6)
+
+
+# per-integer oracles: integers as (p, a) lists, primes ascending
+
+
+def factor(n, spf):
+    """The (p, a) pairs of n >= 1, read off an SPF table covering n."""
+    out = []
+    while n > 1:
+        p, a = int(spf[n]), 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        out.append((p, a))
+    return out
+
+
+def r4_star(factors):
+    """r4*(prod p^a): 3 for each power of 2, sigma(p^a) for odd p."""
+    return math.prod(3 if p == 2 else (p ** (a + 1) - 1) // (p - 1) for p, a in factors)
+
+
+def mobius(factors):
+    return 0 if any(a > 1 for _, a in factors) else (-1) ** len(factors)
+
+
+def square_divisor_weights(factors):
+    """(q, r4*(q^2)) for every divisor q of n^2, in no particular order,
+    built one prime power p^b (0 <= b <= 2a) at a time: the per-integer
+    oracle of arith.square_divisor_blocks."""
+    pairs = [(1, 1)]
+    for p, a in factors:
+        powers = [(1, 1)] + [(p**b, r4_star([(p, 2 * b)])) for b in range(1, 2 * a + 1)]
+        pairs = [(q * pb, w * wb) for pb, wb in powers for q, w in pairs]
+    return pairs
+
+
+def set_zero(f, var):
+    """f with 0 put for one variable: the terms free of it."""
+    return TruncSeries(f.nvars, {e: c for e, c in f.coeffs.items() if not e[var]},
+                       f.max_degree, f.weights)
 
 
 def divisors_from_factors(factors):

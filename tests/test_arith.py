@@ -5,22 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpc import (
-    FactoredInteger,
-    QTables,
-    ResourceError,
-    build_spf_sieve,
-    factorize,
+from qpc import QTables, ResourceError, build_spf_sieve, primes_up_to, square_divisor_blocks
+from qpc import arith
+from qpc.arith import Q_BLOCK, Q_TABLE_BYTES, SQUARE_BLOCK, SQUARE_DIVISOR_CAP, r4_star_p2b
+from conftest import (
+    divisors_from_factors,
+    factor,
     mobius,
-    primes_up_to,
-    r4,
     r4_star,
-    square_divisor_blocks,
+    r4_star_divisor_oracle,
     square_divisor_weights,
 )
-from qpc import arith
-from qpc.arith import Q_BLOCK, Q_TABLE_BYTES, SQUARE_BLOCK, SQUARE_DIVISOR_CAP
-from conftest import divisors_from_factors, r4_star_divisor_oracle
 
 
 def trial_division_spf(n):
@@ -77,12 +72,12 @@ class TestQTables:
             top = len(stage[0])
             assert all(np.array_equal(a, b[:top]) for a, b in zip(stage, stages[-1]))
         for q in range(1, 10**4 + 1):
-            fac = factorize(q, sieve_small)
-            squared = FactoredInteger(q * q, tuple((p, 2 * a) for p, a in fac.factors))
-            kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac.factors)
+            fac = factor(q, sieve_small.spf)
+            squared = [(p, 2 * a) for p, a in fac]
+            kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac)
             assert (int(g[q]), int(k[q]), int(mu[q])) == (r4_star(squared), kappa, mobius(fac)), q
             # the squarefree part of q is kappa^2 / q
-            assert kappa * kappa // q == math.prod(p for p, a in fac.factors if a % 2), q
+            assert kappa * kappa // q == math.prod(p for p, a in fac if a % 2), q
 
     def test_every_size_agrees_with_the_largest(self):
         # a fresh build to each n <= 300 sieves with the primes up to isqrt(n)
@@ -120,54 +115,54 @@ class TestQTables:
 
 
 class TestFactorize:
+    # the tests' factor oracle reads the SPF table
     def test_twelve(self, sieve_small):
-        assert factorize(12, sieve_small).factors == ((2, 2), (3, 1))
+        assert factor(12, sieve_small.spf) == [(2, 2), (3, 1)]
 
     def test_unit(self, sieve_small):
-        assert factorize(1, sieve_small).factors == ()
+        assert factor(1, sieve_small.spf) == []
 
     def test_prime(self, sieve_small):
-        assert factorize(97, sieve_small).factors == ((97, 1),)
-
-    def test_out_of_range(self, sieve_small):
-        with pytest.raises(ResourceError):
-            factorize(10**4 + 1, sieve_small)
+        assert factor(97, sieve_small.spf) == [(97, 1)]
 
     def test_round_trip_to_million(self, sieve_big):
-        step = 1
-        for n in range(1, 10**6 + 1, step):
-            fac = sieve_big.factor_list(n)
-            prod = 1
-            for p, e in fac:
-                prod *= p**e
-            if prod != n:
+        for n in range(1, 10**6 + 1):
+            fac = factor(n, sieve_big.spf)
+            if math.prod(p**e for p, e in fac) != n:
                 pytest.fail(f"round trip failed at {n}: {fac}")
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            FactoredInteger(12, ((3, 1), (2, 2)))  # primes out of order
-        with pytest.raises(ValueError):
-            FactoredInteger(12, ((2, 1), (3, 1)))  # wrong product
 
 
 class TestR4Star:
     def test_unit(self):
-        assert r4_star(FactoredInteger(1, ())) == 1
+        assert r4_star([]) == 1
 
     def test_two(self):
         # value 3 on any power of two
-        assert r4_star(FactoredInteger(2, ((2, 1),))) == 3
+        assert r4_star([(2, 1)]) == 3
         for mu in range(2, 8):
-            assert r4_star(FactoredInteger(2**mu, ((2, mu),))) == 3
+            assert r4_star([(2, mu)]) == 3
 
     def test_small_values(self, sieve_small):
-        assert r4_star(factorize(3, sieve_small)) == 4
-        assert r4_star(factorize(12, sieve_small)) == 12
+        assert r4_star(factor(3, sieve_small.spf)) == 4
+        assert r4_star(factor(12, sieve_small.spf)) == 12
 
     def test_divisor_sum_oracle(self, sieve_small):
         for d in range(1, 2001):
-            fac = factorize(d, sieve_small)
-            assert r4_star(fac) == r4_star_divisor_oracle(fac.factors), d
+            fac = factor(d, sieve_small.spf)
+            assert r4_star(fac) == r4_star_divisor_oracle(fac), d
+
+    def test_prime_powers_match_the_divisor_sum(self):
+        # r4_star_p2b on the range verify --suite local takes, b <= 2 * 30
+        for p in primes_up_to(97).tolist():
+            for b in range(61):
+                assert r4_star_p2b(p, b) == r4_star_divisor_oracle([(p, 2 * b)]), (p, b)
+
+    def test_prime_plan_local_column(self):
+        plan = arith._prime_plan(10**6)
+        assert [p for p, *_ in plan] == primes_up_to(1000).tolist()
+        for p, powers, local, *_ in plan:
+            assert len(local) == len(powers) and local.dtype == np.int64
+            assert local.tolist() == [r4_star_p2b(p, b) for b in range(len(local))], p
 
     def test_multiplicative(self, sieve_small):
         rng = random.Random(7)
@@ -178,10 +173,9 @@ class TestR4Star:
             if math.gcd(a, b) == 1
         ]
         for a, b in pairs:
-            fa, fb = factorize(a, sieve_small), factorize(b, sieve_small)
-            # coprime, so the factorization of a*b is the sorted union
-            fab = FactoredInteger(a * b, tuple(sorted(fa.factors + fb.factors)))
-            assert r4_star(fab) == r4_star(fa) * r4_star(fb)
+            fa, fb = factor(a, sieve_small.spf), factor(b, sieve_small.spf)
+            # coprime, so the factorization of a*b is the union
+            assert r4_star(fa + fb) == r4_star(fa) * r4_star(fb)
 
 
 def brute_quadruple_count(d):
@@ -203,13 +197,13 @@ def brute_quadruple_count(d):
 
 class TestR4:
     def test_tiny_values(self, sieve_small):
-        assert r4(factorize(1, sieve_small)) == 8
-        assert r4(factorize(2, sieve_small)) == 24
-        assert r4(factorize(4, sieve_small)) == 24
+        assert 8 * r4_star(factor(1, sieve_small.spf)) == 8
+        assert 8 * r4_star(factor(2, sieve_small.spf)) == 24
+        assert 8 * r4_star(factor(4, sieve_small.spf)) == 24
 
     def test_brute_force_small(self, sieve_small):
         for d in range(1, 80):
-            assert r4(factorize(d, sieve_small)) == brute_quadruple_count(d), d
+            assert 8 * r4_star(factor(d, sieve_small.spf)) == brute_quadruple_count(d), d
 
     def test_representation_oracle_to_5000(self, sieve_small):
         # quadruple counts via exact convolution of the square-indicator sequence
@@ -220,22 +214,22 @@ class TestR4:
             r1[k * k] = 2
         table = np.convolve(np.convolve(r1, r1)[: dmax + 1], np.convolve(r1, r1)[: dmax + 1])
         for d in range(1, dmax + 1):
-            assert r4(factorize(d, sieve_small)) == int(table[d])
+            assert 8 * r4_star(factor(d, sieve_small.spf)) == int(table[d])
 
 
 class TestMobius:
     def test_values(self, sieve_small):
-        assert mobius(factorize(1, sieve_small)) == 1
-        assert mobius(factorize(4, sieve_small)) == 0
-        assert mobius(factorize(6, sieve_small)) == 1
-        assert mobius(factorize(30, sieve_small)) == -1
+        assert mobius(factor(1, sieve_small.spf)) == 1
+        assert mobius(factor(4, sieve_small.spf)) == 0
+        assert mobius(factor(6, sieve_small.spf)) == 1
+        assert mobius(factor(30, sieve_small.spf)) == -1
 
     def test_sum_over_divisors(self, sieve_small):
         # sum_{d | n} mu(d) = [n == 1]
         for n in range(1, 500):
-            fac = factorize(n, sieve_small)
+            fac = factor(n, sieve_small.spf)
             total = sum(
-                mobius(factorize(d, sieve_small)) for d in divisors_from_factors(fac.factors)
+                mobius(factor(d, sieve_small.spf)) for d in divisors_from_factors(fac)
             )
             assert total == (1 if n == 1 else 0)
 
@@ -246,7 +240,7 @@ class TestMobiusTable:
         mu = QTables().upto(10**4)[2]
         assert len(mu) == 10**4 + 1 and mu[0] == 0
         for n in range(1, 10**4 + 1):
-            assert int(mu[n]) == mobius(factorize(n, sieve_small)), n
+            assert int(mu[n]) == mobius(factor(n, sieve_small.spf)), n
 
     def test_mertens_known_values(self):
         M = np.cumsum(QTables().upto(10**4)[2], dtype=np.intc)
@@ -264,23 +258,23 @@ class TestMobiusTable:
 
 class TestSquareDivisorPairs:
     def test_unit(self, sieve_small):
-        assert square_divisor_weights(factorize(1, sieve_small).factors) == [(1, 1)]
+        assert square_divisor_weights(factor(1, sieve_small.spf)) == [(1, 1)]
 
     def test_two(self, sieve_small):
-        pairs = sorted(square_divisor_weights(factorize(2, sieve_small).factors))
+        pairs = sorted(square_divisor_weights(factor(2, sieve_small.spf)))
         assert pairs == [(1, 1), (2, 3), (4, 3)]
 
     def test_pair_count_six(self, sieve_small):
-        assert len(square_divisor_weights(factorize(6, sieve_small).factors)) == 9  # tau(36)
+        assert len(square_divisor_weights(factor(6, sieve_small.spf))) == 9  # tau(36)
 
     def test_reparametrization(self, sieve_small):
         # {q^2 : q | n^2} equals {d : d | n^4, n^4/d square}, for all n <= 1e4
         ns = range(1, 10**4 + 1)
         for n in ns:
-            fac = factorize(n, sieve_small)
-            via_pairs = sorted(q * q for q, _ in square_divisor_weights(fac.factors))
+            fac = factor(n, sieve_small.spf)
+            via_pairs = sorted(q * q for q, _ in square_divisor_weights(fac))
             n4 = n**4
-            fac4 = [(p, 4 * a) for p, a in fac.factors]
+            fac4 = [(p, 4 * a) for p, a in fac]
             direct = sorted(
                 d
                 for d in divisors_from_factors(fac4)
@@ -292,11 +286,11 @@ class TestSquareDivisorPairs:
         # d = q^2 has the square cofactor (n^2/q)^2, and the weight is r4*(d)
         # by the literal divisor sum
         for n in (12, 90, 97):
-            fac = factorize(n, sieve_small)
-            for q, w in square_divisor_weights(fac.factors):
+            fac = factor(n, sieve_small.spf)
+            for q, w in square_divisor_weights(fac):
                 assert (n * n // q) ** 2 * q * q == n**4
                 d_factors = []
-                for p, _ in fac.factors:
+                for p, _ in fac:
                     e = 0
                     while q % p**(e + 1) == 0:
                         e += 1
@@ -322,7 +316,7 @@ class TestSquareDivisorBlocks:
         rows = block_rows(10**4)
         assert list(rows) == list(range(1, 10**4 + 1))
         for n, got in rows.items():
-            assert got == sorted(square_divisor_weights(sieve_small.factor_list(n))), n
+            assert got == sorted(square_divisor_weights(factor(n, sieve_small.spf))), n
 
     @pytest.mark.parametrize("limit", [0, 1, 255, 256, 257, 513])
     def test_block_edges(self, sieve_small, limit):
@@ -332,7 +326,7 @@ class TestSquareDivisorBlocks:
         rows = block_rows(limit)
         assert list(rows) == list(range(1, limit + 1))
         for n, got in rows.items():
-            assert got == sorted(square_divisor_weights(sieve_small.factor_list(n))), n
+            assert got == sorted(square_divisor_weights(factor(n, sieve_small.spf))), n
 
     def test_weights_at_large_prime_squares(self):
         # at n = p = 6211, r4*(p^4) = p^4 + p^3 + p^2 + p + 1 fits an int64,
@@ -393,11 +387,10 @@ class TestPrimesUpTo:
 
 
 def test_r4_star_promotes_past_machine_words():
-    # sigma(p^3) for p = 2^31 - 1 exceeds 2^64; the result stays exact
+    # sigma(p^4) for p = 2^31 - 1 exceeds 2^64; the result stays exact
     p = 2147483647
-    d = FactoredInteger(p**3, ((p, 3),))
-    value = r4_star(d)
-    assert value == (p**4 - 1) // (p - 1)
+    value = r4_star_p2b(p, 2)
+    assert value == (p**5 - 1) // (p - 1) == p**4 + p**3 + p**2 + p + 1
     assert value > 2**64
 
 

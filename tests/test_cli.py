@@ -277,6 +277,9 @@ class TestFlags:
             ("count", "--kind", "star", "--B", "3", "--sieve-limit", "1"),
             ("constant", "--prime-limit", "1"),
             ("verify", "--suite", "formal", "--threads", "-1"),
+            ("verify", "--suite", "global", "--tolerance", "inf"),
+            ("verify", "--suite", "global", "--tolerance", "nan"),
+            ("verify", "--suite", "global", "--tolerance", "-1"),
         ],
     )
     def test_out_of_range_value_refused_by_the_parser(self, argv, capsys):

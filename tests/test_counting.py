@@ -12,22 +12,25 @@ from qpc import (
     brute_force_primitive_curve,
     brute_force_star,
     build_spf_sieve,
-    factorize,
-    mobius,
     n_star,
     n_star_by_divisors,
     n_u,
     partition_witness,
-    r4_star,
     s_exact,
-    square_divisor_weights,
     t_exact,
     telescoping_check,
 )
 from qpc import counting
 from qpc.arith import Q_BLOCK, Q_TABLE_BYTES
 from qpc.counting import PartitionWitness
-from conftest import divisors_from_factors, r4_star_divisor_oracle
+from conftest import (
+    divisors_from_factors,
+    factor,
+    mobius,
+    r4_star,
+    r4_star_divisor_oracle,
+    square_divisor_weights,
+)
 
 
 # ----------------------------------------------------------------------
@@ -38,7 +41,7 @@ from conftest import divisors_from_factors, r4_star_divisor_oracle
 
 def naive_inner_terms(n, sieve):
     """Sorted (d, r4*(d)) over d | n^4 with n^4/d a perfect square."""
-    fac = factorize(n, sieve).factors
+    fac = factor(n, sieve.spf)
     fac4 = [(p, 4 * a) for p, a in fac]
     n4 = n**4
     out = []
@@ -139,7 +142,7 @@ class TestSExact:
             tau4 = 0
             for n in range(1, x + 1):
                 t = 1
-                for _, a in factorize(n, sieve_small).factors:
+                for _, a in factor(n, sieve_small.spf):
                     t *= 4 * a + 1
                 tau4 += t
             assert s_exact(x, y, tables) <= y * tau4
@@ -147,7 +150,7 @@ class TestSExact:
     def test_resource_guard(self, sieve_small, tables):
         # x is bounded only by the int64 per-q terms x // kappa(q): with
         # y = 10 the sum runs over q | n^2 with q <= 3, against an n-ordered sum
-        weight = {q: r4_star(factorize(q * q, sieve_small)) for q in (1, 2, 3)}
+        weight = {q: r4_star(factor(q * q, sieve_small.spf)) for q in (1, 2, 3)}
         x = 10**5
         want = sum(w for n in range(1, x + 1) for q, w in weight.items() if n * n % q == 0)
         assert s_exact(x, 10, tables) == want
@@ -266,7 +269,7 @@ def n_star_per_bound(B):
     ns = 0
     for n in range(1, B + 1):
         n2 = n * n
-        for q, w in square_divisor_weights(sieve.factor_list(n)):
+        for q, w in square_divisor_weights(factor(n, sieve.spf)):
             if q <= B and n2 <= q * B:
                 ns += w
     return counting.SIGN_FACTOR * ns
@@ -282,7 +285,7 @@ def n_star_curve_per_n(limit):
     curve = [0] * (limit + 1)
     for n in range(1, limit + 1):
         n2 = n * n
-        for q, w in square_divisor_weights(sieve.factor_list(n)):
+        for q, w in square_divisor_weights(factor(n, sieve.spf)):
             height = max(q, n2 // q)
             if height <= limit:
                 curve[height] += w
@@ -479,7 +482,7 @@ def s_window(tables, a, c, Q):
 @pytest.fixture(scope="module")
 def divisor_terms(sieve_small):
     """(q, r4*(q^2)) over q | n^2, for every n <= 2000."""
-    return {n: square_divisor_weights(factorize(n, sieve_small).factors) for n in range(1, 2001)}
+    return {n: square_divisor_weights(factor(n, sieve_small.spf)) for n in range(1, 2001)}
 
 
 def oracle_s(a, c, y, terms):
@@ -507,7 +510,7 @@ def test_n_u_mertens_form_matches_mobius_sum(seed, sieve_small, tables):
     d = rng.randint(2, 10)
     for b in (rng.randint(1000, 5000), Fraction(rng.randint(1000 * d, 5000 * d), d)):
         nu = sum(
-            mobius(factorize(j, sieve_small)) * n_star(Fraction(b) / j, tables)
+            mobius(factor(j, sieve_small.spf)) * n_star(Fraction(b) / j, tables)
             for j in range(1, math.floor(b) + 1)
         )
         assert n_u(b, tables) == nu, b
@@ -525,7 +528,7 @@ def test_kernel_matches_n_ordered_oracle(seed, sieve_small, tables, divisor_term
         assert n_star(b, tables) == oracle_n_star(b, divisor_terms), b
     b = Fraction(rng.randint(1, 300), rng.randint(1, 3))
     nu = sum(
-        mobius(factorize(j, sieve_small)) * oracle_n_star(b / j, divisor_terms)
+        mobius(factor(j, sieve_small.spf)) * oracle_n_star(b / j, divisor_terms)
         for j in range(1, math.floor(b) + 1)
     )
     assert n_u(b, tables) == nu, b
@@ -566,7 +569,7 @@ def pair_arrays(sieve_mid):
     top = max(EDGES)
     ns, qs, ws = [], [], []
     for n in range(1, top + 1):
-        for q, w in square_divisor_weights(sieve_mid.factor_list(n)):
+        for q, w in square_divisor_weights(factor(n, sieve_mid.spf)):
             if q <= top:
                 ns.append(n)
                 qs.append(q)
@@ -582,7 +585,7 @@ def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid, tables):
     hist = np.zeros(max(EDGES) + 1, dtype=np.int64)
     np.add.at(hist, height[height <= max(EDGES)], w[height <= max(EDGES)])
     star = np.cumsum(hist).tolist()
-    mu = [0] + [mobius(factorize(j, sieve_mid)) for j in range(1, max(EDGES) + 1)]
+    mu = [0] + [mobius(factor(j, sieve_mid.spf)) for j in range(1, max(EDGES) + 1)]
     for B in EDGES:
         a = B // 3
         want = {

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpc import RationalFunction, TruncSeries
+from conftest import set_zero
 
 
 def random_series(rng, nvars=2, max_degree=8, weights=None, unit=False):
@@ -28,20 +29,20 @@ def random_series(rng, nvars=2, max_degree=8, weights=None, unit=False):
 def test_constant_and_monomial():
     one = TruncSeries.constant(1, 2, max_degree=5)
     xy = TruncSeries.monomial(3, (1, 1), max_degree=5)
-    assert (one + xy).coefficient((1, 1)) == 3
-    assert (one + xy).coefficient((0, 0)) == 1
+    assert (one + xy).coeffs[(1, 1)] == 3
+    assert (one + xy).coeffs[(0, 0)] == 1
 
 
 def test_truncation_drops_high_degree():
     x = TruncSeries.monomial(1, (1, 0), max_degree=3)
     assert (x**4).coeffs == {}
-    assert (x**3).coefficient((3, 0)) == 1
+    assert (x**3).coeffs == {(3, 0): 1}
 
 
 def test_weighted_truncation_ignores_second_variable():
     xy = TruncSeries.monomial(1, (1, 9), max_degree=2, weights=(1, 0))
     sq = xy * xy
-    assert sq.coefficient((2, 18)) == 1
+    assert sq.coeffs == {(2, 18): 1}
     assert (sq * xy).coeffs == {}
 
 
@@ -50,7 +51,7 @@ def test_geometric_inverse():
     one = TruncSeries.constant(1, 1, max_degree=deg)
     x = TruncSeries.monomial(1, (1,), max_degree=deg)
     inv = (one - x).inverse()
-    assert all(inv.coefficient((k,)) == 1 for k in range(deg + 1))
+    assert all(inv.coeffs.get((k,)) == 1 for k in range(deg + 1))
     assert (one - x) * inv == one
 
 
@@ -88,7 +89,7 @@ def test_inverse_roundtrip_random():
 
 def test_set_zero():
     s = TruncSeries(2, {(0, 0): 1, (1, 2): 5, (2, 0): 7}, max_degree=9)
-    restricted = s.set_zero(1)
+    restricted = set_zero(s, 1)
     assert restricted.coeffs == {(0, 0): 1, (2, 0): 7}
 
 
@@ -110,7 +111,7 @@ def test_int_coefficients_equal_and_hash_like_fractions():
 def test_scalar_arithmetic():
     x = TruncSeries.monomial(1, (1,), max_degree=3)
     assert (2 * x + 1) - 1 == x + x
-    assert (x * Fraction(1, 2)).coefficient((1,)) == Fraction(1, 2)
+    assert (x * Fraction(1, 2)).coeffs == {(1,): Fraction(1, 2)}
 
 
 def test_rational_function_equality():
@@ -228,7 +229,7 @@ def test_no_operation_stores_a_zero():
             a = _random_terms(rng, weights, top, rng.random() < 0.5)
             b = _random_terms(rng, weights, top, rng.random() < 0.5)
             seen += [a, b, a + b, a - b, b - b, -a, 1 - a, a + 0, a * b, a * 0, a * Fraction(1, 3)]
-            seen += [a**2, a.set_zero(0), TruncSeries.constant(0, 2, top, weights)]
+            seen += [a**2, set_zero(a, 0), TruncSeries.constant(0, 2, top, weights)]
             seen.append(TruncSeries.monomial(0, (1, 1), top, weights))
             if top is not None:
                 positive = {e: c for e, c in a.coeffs.items() if e[0] >= 1}

@@ -45,13 +45,9 @@ from .dirichlet import (
     local_factor_closed_form,
     local_factor_definition,
     zeta,
-    zeta_star,
+    zeta_derivative,
 )
-from .errors import (
-    DomainError,
-    ResourceError,
-    UnstableDifferentiationError,
-)
+from .errors import DomainError, ResourceError
 from .series import RationalFunction, TruncSeries
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ Two independent numerical routes to the constant C4:
   * p_coefficients: the residue route c1 = h(1), c0 = h'(1) for
         h(s) = 16 (s-1)^2 zeta(s) zeta((s+1)/2) G(s, (5-s)/4)
                / ((5-s)(9-s) s (s+1)),
-    evaluated through the entire function (s-1) zeta(s), with h(1) = G(1,1)/2.
+    with h(1) = G(1,1)/2, from a prime-zeta expansion of log G that needs
+    no prime limit.
 
 Main-term note.  The double-pole residue that produces P(t) arises from the
 w-integral over the factor zeta(s + 4w - 4); a residue in w at that pole
@@ -33,8 +34,8 @@ import numpy as np
 
 from .arith import QTables, primes_up_to
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
-from .dirichlet import _OddFactors, _g_value, zeta, zeta_star
-from .errors import DomainError, UnstableDifferentiationError
+from .dirichlet import zeta, zeta_derivative
+from .errors import DomainError
 
 RESIDUE_JACOBIAN = 0.25
 
@@ -49,11 +50,11 @@ NSTAR_VARIANTS = {
 
 @dataclass(frozen=True)
 class ResiduePolynomial:
-    """P(t) = c1 * t + c0 from the double pole at s = 1, with error estimates.
+    """P(t) = c1 * t + c0 from the double pole at s = 1, with error bounds.
 
-    c0_error covers only the Richardson spread of h'(1), not the truncation
-    of the Euler product at prime_limit: c0 moves by 1.04e-6 between prime
-    limits 10^5 and 10^6 while each run reports about 1e-9.
+    p_coefficients bounds every error it knows of: the truncated series, the
+    zeta evaluations and float rounding, so c1_error and c0_error bound the
+    distance to the true constants.
     """
 
     c1: float
@@ -71,11 +72,25 @@ class ResiduePolynomial:
         return self.c1 * t + self.c0
 
 
+def _small_sieve(n: int) -> tuple[list[int], list[int]]:
+    """The primes up to n, and mu(r) for 0 <= r <= n (mu(0) = 0)."""
+    composite = [False] * (n + 1)
+    mu = [0] + [1] * n
+    primes = []
+    for p in range(2, n + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p::p] = [True] * len(composite[p::p])
+            mu[p::p] = [-m for m in mu[p::p]]
+            mu[p * p :: p * p] = [0] * len(mu[p * p :: p * p])
+    return primes, mu
+
+
 def prime_zeta(s: float) -> float:
     """P(s) = sum_p p^-s for s > 1, via sum_r mu(r)/r * log zeta(r s)."""
     if s <= 1.0:
         raise DomainError("prime_zeta requires s > 1")
-    mu = QTables().upto(127)[2].tolist()
+    mu = _small_sieve(127)[1]
     total = 0.0
     for r in range(1, 128):
         lz = math.log(zeta(r * s).value)
@@ -120,60 +135,96 @@ def euler_product_C4(prime_limit: int) -> tuple[float, float]:
     return value, tail_bound
 
 
-def _h(s: float, prime_limit: int, ps) -> float:
-    """16 (s-1)^2 zeta(s) zeta((s+1)/2) G(s, (5-s)/4) / ((5-s)(9-s) s (s+1)),
-    written through (sigma-1) zeta(sigma) so s = 1 is a regular point;
-    ps holds the primes up to prime_limit, as an array or as the
-    dirichlet._OddFactors built from them."""
-    g = _g_value(s, (5.0 - s) / 4.0, prime_limit, ps)[0]
-    return (
-        32.0
-        * zeta_star(s)
-        * zeta_star((s + 1.0) / 2.0)
-        * g
-        / ((5.0 - s) * (9.0 - s) * s * (s + 1.0))
-    )
+# p_coefficients takes the odd primes p <= _EXPLICIT one at a time and the
+# primes p > _EXPLICIT through prime-zeta series, to the terms in p^-_TERMS.
+_EXPLICIT = 100
+_TERMS = 10
+# allowance for float rounding, per term, relative to the term's size
+_ROUND = 32 * 2.0**-53
+_EULER_GAMMA = 0.5772156649015329
 
 
-def p_coefficients(
-    prime_limit: int, rel_tolerance: float = 1e-5
-) -> ResiduePolynomial:
-    """Residue polynomial coefficients: c1 = h(1), c0 = h'(1).
+def _log_zeta_tail(sigma: int, primes: list[int]) -> tuple[float, float, float, float]:
+    """log zeta_N(sigma), zeta_N(sigma) = prod (1 - p^-sigma)^-1 over the primes
+    p not in primes, its sigma-derivative, and error bounds on both: log
+    zeta(sigma) and zeta'/zeta(sigma) less the Euler factors of primes."""
+    z, dz = zeta(float(sigma)), zeta_derivative(float(sigma))
+    u = [float(p) ** -sigma for p in primes]
+    logs = [math.log(z.value)] + [math.log1p(-x) for x in u]
+    dlogs = [dz.value / z.value] + [math.log(p) * x / (1.0 - x) for p, x in zip(primes, u)]
+    low = z.value - z.error_bound
+    err = z.error_bound / low + _ROUND * sum(map(abs, logs))
+    derr = (dz.error_bound + abs(dlogs[0]) * z.error_bound) / low + _ROUND * sum(map(abs, dlogs))
+    return math.fsum(logs), math.fsum(dlogs), err, derr
 
-    h'(1) uses Richardson-extrapolated central differences at step sizes
-    1e-3 and 1e-4; if the two extrapolations disagree beyond rel_tolerance
-    (relative), the differentiation is reported as unstable.  c0_error is
-    their spread plus 1e-9; it does not bound the Euler-product truncation.
 
-    G is evaluated at nine points, (1, 1) and the eight on w = (5 - s)/4,
-    over one sieve and one dirichlet._OddFactors: 21 float pows over the
-    odd primes in all, p^3.0, p^3 and p^-(s+4w) once (s + 4w is 5.0 at
-    every point) and two per point, where nine g_value calls take 45.
+def p_coefficients() -> ResiduePolynomial:
+    """Residue polynomial coefficients c1 = h(1), c0 = h'(1), with true
+    error bounds and no prime limit.
+
+    On the residue line w = (5 - s)/4 put X = p^-(s+1)/2 and V = 1/p; then
+    G_p = (1 + X + XV + XV^2 + V^2 + V^3 + V^4 + XV^4)(1 - X)/(1 - V^5), and
+    c1 = G(1)/2, c0 = c1 (3 gamma/2 + (log G)'(1) - 9/8).  At s = 1, X = V:
+
+      * log G_p(1) = log((1 + V^2)(1 - V^4)/(1 - V^5)) = sum_k C_k V^k, with
+        C_k = [2|k] (-1)^(k/2+1) 2/k - [4|k] 4/k + [5|k] 5/k, |C_k| <= 1.5;
+      * d/ds log G_p at s = 1 is -(1/2) log p R(1/p) for
+        R(V) = -V^2 (1 + 2V + 3V^2 + 2V^4)/((1 - V^4)(1 + V^2)) = sum r_k V^k,
+        integers with |r_k| <= (k + 3)/2.
+
+    G_2 and the odd p <= N = _EXPLICIT are taken one by one; the primes
+    beyond give sum_k C_k P_N(k) and (1/2) sum_k r_k P_N'(k), where
+    P_N(k) = sum_{p > N} p^-k = sum_r mu(r)/r log zeta_N(r k) (Cohen 1998;
+    Ettahri, Ramare and Surel 2021), summed over r k <= _TERMS.  The error
+    bounds add the omitted r k > _TERMS, each zeta's error bound and an
+    allowance of _ROUND per term for float rounding.  Nothing here sieves
+    or evaluates G over a prime list.
     """
-    if prime_limit < 10**3:
-        raise ValueError("prime_limit must be >= 1000 for stable coefficients")
-    ps = _OddFactors(primes_up_to(prime_limit))
-    g11, g11_tail = _g_value(1.0, 1.0, prime_limit, ps)
-    c1 = g11 / 2.0
-    c1_error = g11_tail / 2.0 + 1e-12
-
-    def central(eps: float) -> float:
-        return (_h(1.0 + eps, prime_limit, ps) - _h(1.0 - eps, prime_limit, ps)) / (2.0 * eps)
-
-    richardson = []
-    for eps in (1e-3, 1e-4):
-        d1 = central(eps)
-        d2 = central(eps / 2.0)
-        richardson.append((4.0 * d2 - d1) / 3.0)
-    spread = abs(richardson[0] - richardson[1])
-    scale = max(abs(richardson[1]), 1e-30)
-    if spread > rel_tolerance * scale:
-        raise UnstableDifferentiationError(
-            f"h'(1) estimates differ by {spread:.3e} (relative {spread / scale:.3e})",
-            estimates=tuple(richardson),
-        )
-    c0 = richardson[1]
-    c0_error = spread + 1e-9
+    primes, mu = _small_sieve(_EXPLICIT)
+    # k C_k, an integer; and r_k from R (1 + V^2 - V^4 - V^6) = -V^2 - 2V^3 - 3V^4 - 2V^6
+    kc = [(k % 2 == 0) * (-1) ** (k // 2 + 1) * 2 - (k % 4 == 0) * 4 + (k % 5 == 0) * 5
+          for k in range(_TERMS + 1)]
+    r_coef = {}
+    for k in range(_TERMS + 1):
+        r_coef[k] = {2: -1, 3: -2, 4: -3, 6: -2}.get(k, 0) - r_coef.get(k - 2, 0)
+        r_coef[k] += r_coef.get(k - 4, 0) + r_coef.get(k - 6, 0)
+    # the terms of log G(1) and of (log G)'(1), and the sums of their error
+    # bounds: G_2(1) = 23/62 with (log G_2)'(1) = (17/46) log 2, then the odd p <= N
+    log_g, dlog_g = [math.log(23.0 / 62.0)], [17.0 / 46.0 * math.log(2.0)]
+    err = derr = 0.0
+    for p in primes[1:]:
+        v = 1.0 / p
+        log_g.append(math.log1p(v * v) + math.log1p(-(v**4)) - math.log1p(-(v**5)))
+        r = -v * v * (1 + v * (2 + v * (3 + 2 * v * v))) / ((1 - v**4) * (1 + v * v))
+        dlog_g.append(-0.5 * math.log(p) * r)
+    # p > N, gathered by sigma = r k: C_k mu(r)/r = k C_k mu(r)/sigma, and r_k mu(r)/2
+    for sigma in range(2, _TERMS + 1):
+        ks = [k for k in range(2, sigma + 1) if sigma % k == 0]
+        w = sum(kc[k] * mu[sigma // k] for k in ks) / sigma
+        dw = sum(r_coef[k] * mu[sigma // k] for k in ks) / 2
+        value, dvalue, e, de = _log_zeta_tail(sigma, primes)
+        log_g.append(w * value)
+        dlog_g.append(dw * dvalue)
+        err += abs(w) * e
+        derr += abs(dw) * de
+    # the omitted r k = sigma > _TERMS: at most sigma pairs each, with
+    # |C_k| <= 1.5 and |r_k|/2 <= (sigma + 3)/4; |log zeta_N(sigma)| and its
+    # derivative are at most sum_{n > N} log(n) n^-sigma / (1 - N^-sigma),
+    # below the bound taken here, which falls by 1/N per sigma: the sum over
+    # sigma > _TERMS is at most twice its first term
+    n, s = float(_EXPLICIT), _TERMS + 1
+    bound = n ** (1 - s) * (math.log(n) / (s - 1) + (s - 1) ** -2) / (1 - n**-s)
+    err += 3 * s * bound
+    derr += s * (s + 3) / 2 * bound
+    lg, dlg = math.fsum(log_g), math.fsum(dlog_g)
+    lg_err = err + _ROUND * (sum(map(abs, log_g)) + abs(lg))
+    dlg_err = derr + _ROUND * (sum(map(abs, dlog_g)) + abs(dlg))
+    c1 = math.exp(lg) / 2.0
+    c1_error = c1 * (math.expm1(lg_err) + _ROUND)
+    d = 1.5 * _EULER_GAMMA + dlg - 1.125
+    c0 = c1 * d
+    d_error = dlg_err + _ROUND * (1.5 * _EULER_GAMMA + abs(dlg) + 1.125)
+    c0_error = abs(d) * c1_error + (c1 + c1_error) * d_error + _ROUND * abs(c0)
     return ResiduePolynomial(c1, c0, c1_error, c0_error)
 
 
@@ -185,7 +236,11 @@ def p_coefficients(
 def s_main_term(x: float, y: float, P: ResiduePolynomial) -> float:
     """Predicted S(x, y) = x y (4 P(psi) + (3/2) P'(psi)), psi = log x - log(y)/4.
 
-    Valid in the theorem range 10 <= x <= y <= x^3 (enforced).
+    Defined on 10 <= x <= y <= x^3 (enforced), but it matches exact counts
+    only for y well above x^2.  Exact S / s_main_term at x = 10^6 is 0.443
+    at y = x, 0.715 at y = x^1.5, 1.051 at y = x^2 and 1.000 at y = x^2.5:
+    for y <= x^2 every q <= sqrt(y) has kappa(q) <= x, and S takes another
+    main term.
     """
     if not (x >= 10 and x <= y <= x**3):
         raise DomainError(f"s_main_term needs 10 <= x <= y <= x^3, got ({x}, {y})")

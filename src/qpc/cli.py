@@ -98,7 +98,7 @@ def cmd_table(args) -> int:
         _emit_records([], args)
         return EXIT_OK
     tables = _tables_for(args, max(bounds))
-    poly = asymptotics.p_coefficients(args.prime_limit)
+    poly = asymptotics.p_coefficients()
     records = asymptotics.convergence_table(
         args.kind, bounds, tables, poly, args.variant
     )
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
 def cmd_constant(args) -> int:
     P = args.prime_limit
     value, tail = asymptotics.euler_product_C4(P)
-    poly = asymptotics.p_coefficients(P)
+    poly = asymptotics.p_coefficients()
     z3 = dirichlet.zeta(3.0).value
     star_paper = asymptotics.NSTAR_VARIANTS["paper"] * value
     star_chain = asymptotics.NSTAR_VARIANTS["chain"] * value
@@ -312,7 +312,6 @@ def build_parser() -> _Parser:
     p_table.add_argument("--kind", choices=("S", "T", "N_star", "N_u"), required=True)
     p_table.add_argument("--bounds", type=_bounds_list, required=True)
     p_table.add_argument("--variant", choices=("paper", "chain"), default="chain")
-    p_table.add_argument("--prime-limit", type=_int_at_least(10**3), default=10**6)
     _add_record_flags(p_table)
     p_table.set_defaults(func=cmd_table)
 

@@ -14,6 +14,7 @@ are checked both as truncated series and as exact polynomial identities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,21 +57,22 @@ class ZetaValue:
     error_bound: float
 
 
-def _em_tail_coeffs(s: float, N: int, K: int) -> tuple[float, float]:
-    """Euler-Maclaurin correction sum and first-omitted-term bound."""
-    tail = 0.0
+def _em_terms(s: float, N: int, K: int) -> tuple[list[float], float]:
+    """The Euler-Maclaurin corrections B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k)
+    for k = 1..K, and the size of the first omitted one."""
+    terms = []
     rising = s  # s(s+1)...(s+2k-2)
     npow = N ** (-s - 1.0)
     for k in range(1, K + 1):
         b = _BERNOULLI[k - 1]
-        tail += (b.numerator / b.denominator) / math.factorial(2 * k) * rising * npow
+        terms.append((b.numerator / b.denominator) / math.factorial(2 * k) * rising * npow)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         npow /= N * N
     b_next = _BERNOULLI[K]
     omitted = abs(b_next.numerator / b_next.denominator) / math.factorial(2 * K + 2) * abs(
         rising
     ) * npow
-    return tail, omitted
+    return terms, omitted
 
 
 def zeta(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
@@ -89,25 +91,52 @@ def zeta(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
         head = math.fsum(n ** (-s) for n in range(1, N))
         pole = N ** (1.0 - s) / (s - 1.0)
         half = 0.5 * N ** (-s)
-        tail, omitted = _em_tail_coeffs(s, N, _EM_K)
+        terms, omitted = _em_terms(s, N, _EM_K)
         if omitted <= tolerance or N >= 1024:
             break
         N *= 2
+    tail = 0.0
+    for term in terms:  # in order, not fsum: the values stay as they were
+        tail += term
     value = head + pole + half + tail
     rounding = 8.0 * abs(value) * 2.2e-16
     return ZetaValue(s, value, omitted + rounding)
 
 
-def zeta_star(sigma: float) -> float:
-    """(sigma - 1) * zeta(sigma), analytic through sigma = 1.
+def zeta_derivative(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
+    """zeta'(s) on the real axis s > 1: the Euler-Maclaurin sum of zeta,
+    differentiated term by term in s.
 
-    The pole term of the Euler-Maclaurin formula contributes N^(1-sigma)
-    exactly, so no cancellation occurs near (or at) sigma = 1.
+    The correction B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) differentiates to
+    itself times H - log N, H = sum_{j < 2k-1} 1/(s+j).  The remainder is
+    that of the summand -x^-s log x, whose m-th derivative has the sign of
+    (-1)^m (log x - sum_{j<m} 1/(s+j)); once log N exceeds that sum for the
+    first omitted order, the derivative keeps one sign on x >= N and the
+    remainder is at most twice the first omitted term.  The cutoff N doubles
+    until this holds and the bound meets the tolerance, as in zeta; the
+    error bound adds the same kind of float-rounding allowance.
     """
-    s = float(sigma)
-    head = math.fsum(n ** (-s) for n in range(1, _EM_N))
-    tail, _ = _em_tail_coeffs(s, _EM_N, _EM_K)
-    return (s - 1.0) * (head + 0.5 * _EM_N ** (-s) + tail) + _EM_N ** (1.0 - s)
+    if s <= 1.0:
+        raise DomainError(f"zeta_derivative requires s > 1, got {s}")
+    # harmonic[m] = 1/s + 1/(s+1) + ... + 1/(s+m-1)
+    reciprocals = (1.0 / (s + j) for j in range(2 * _EM_K + 2))
+    harmonic = list(itertools.accumulate(reciprocals, initial=0.0))
+    N = _EM_N
+    while math.log(N) <= harmonic[-1]:
+        N *= 2
+    while True:
+        log_n = math.log(N)
+        head = -math.fsum(math.log(n) * n ** (-s) for n in range(2, N))
+        pole = -(N ** (1.0 - s)) * (log_n / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
+        half = -0.5 * log_n * N ** (-s)
+        terms, omitted = _em_terms(s, N, _EM_K)
+        tail = math.fsum(t * (harmonic[2 * k + 1] - log_n) for k, t in enumerate(terms))
+        omitted *= 2.0 * (log_n - harmonic[-2])
+        if omitted <= tolerance or N >= 1024:
+            break
+        N *= 2
+    rounding = 8.0 * (abs(head) + abs(pole) + abs(half) + abs(tail)) * 2.2e-16
+    return ZetaValue(s, head + pole + half + tail, omitted + rounding)
 
 
 # ----------------------------------------------------------------------
@@ -343,69 +372,17 @@ def _check_convergence_domain(s: float, w: float) -> tuple[float, float, float]:
     return es
 
 
-def _y_terms(p, s: float, w: float):
-    """(p^3+p^2+p) y and 1 - y for y = p^-(s+4w): the terms of G_p that
-    depend on (s, w) only through the float s + 4w."""
-    y = p ** (-(s + 4 * w))
-    return (p**3 + p * p + p) * y, 1.0 - y
-
-
-def _g_odd(p, p3, c2y, den, s: float, w: float):
-    """G_p(s, w) for odd p, a float or a numpy array of them, from p3 = p^3.0
-    and (c2y, den) = _y_terms(p, s, w): the closed form
+def g_factor_odd(p, s: float, w: float):
+    """G_p(s, w) for odd p, a float or a numpy array of them, in five pows:
+    the closed form
 
         [1 + (p^2+p+1) x + (p^3+p^2+p) y + p^3 z] (1 - p^2 x) / (1 - y),
 
     x = p^-(s+2w), y = p^-(s+4w), z = p^-(2s+6w)."""
     x = p ** (-(s + 2 * w))
-    t = 1.0 + (p * p + p + 1) * x
-    t += c2y
-    t += p3 * p ** (-(2 * s + 6 * w))
-    t *= 1.0 - p * p * x
-    t /= den
-    return t
-
-
-def g_factor_odd(p, s: float, w: float):
-    """G_p(s, w) for odd p, a float or a numpy array of them: _g_odd with
-    its prime-side terms built for this one point, in five pows."""
-    return _g_odd(p, p**3.0, *_y_terms(p, s, w), s, w)
-
-
-# G's odd factors over a prime list are evaluated G_BLOCK primes at a time,
-# so the temporaries of the closed form stay small beside the full arrays.
-G_BLOCK = 1 << 13
-
-
-class _OddFactors:
-    """G_p(s, w) over the odd primes of a prime array, for point after point.
-
-    p^3.0 is built once per prime list, and the _y_terms once per value of
-    the float s + 4w: a point with the same s + 4w as the last one reuses
-    them, and any other rebuilds them.  Each point then takes the two pows
-    x = p^-(s+2w) and z = p^-(2s+6w), not the five of g_factor_odd.  The
-    factors are written block by block into one array by _g_odd, the closed
-    form that g_factor_odd evaluates, so each is the same float.
-    """
-
-    __slots__ = ("p", "p3", "e4", "c2y", "den", "t")
-
-    def __init__(self, ps: np.ndarray):
-        self.p = p = ps[ps > 2].astype(np.float64)
-        self.p3 = p**3.0
-        self.e4 = None
-        self.c2y, self.den, self.t = (np.empty_like(p) for _ in range(3))
-
-    def factors(self, s: float, w: float) -> np.ndarray:
-        """G_p(s, w) for every p, in an array that the next call overwrites."""
-        blocks = [slice(lo, lo + G_BLOCK) for lo in range(0, self.p.size, G_BLOCK)]
-        if s + 4 * w != self.e4:
-            for b in blocks:
-                self.c2y[b], self.den[b] = _y_terms(self.p[b], s, w)
-            self.e4 = s + 4 * w
-        for b in blocks:
-            self.t[b] = _g_odd(self.p[b], self.p3[b], self.c2y[b], self.den[b], s, w)
-        return self.t
+    y = p ** (-(s + 4 * w))
+    t = 1.0 + (p * p + p + 1) * x + (p**3 + p * p + p) * y + p**3.0 * p ** (-(2 * s + 6 * w))
+    return t * (1.0 - p * p * x) / (1.0 - y)
 
 
 def g_factor_2(s: float, w: float) -> float:
@@ -464,39 +441,20 @@ def g_value(s: float, w: float, prime_limit: int) -> tuple[float, float]:
     absolute tail bound.
 
     Raises DomainError outside min_j(s + 2jw - 2j) >= 1/2 + margin.  The
-    product is reduced in a fixed order, so results are reproducible.  It
-    takes five float pows over the odd primes: p^3.0, then p^3 and
-    p^-(s+4w) for the _y_terms, then p^-(s+2w) and p^-(2s+6w).
-    """
-    return _g_value(s, w, prime_limit, _OddFactors(primes_up_to(prime_limit)))
-
-
-def _g_value(s: float, w: float, prime_limit: int, ps) -> tuple[float, float]:
-    """g_value over ps, the primes up to prime_limit or the _OddFactors built
-    from them, so that callers evaluating G at many points sieve the primes
-    and build the prime-side arrays once.
-
-    An _OddFactors holds the float odd primes and p^3.0, built once per
-    prime list, and the _y_terms of p^3 and p^-(s+4w), built once per value
-    of s + 4w; passing it leaves two pows per point.  The p^-(s+4w) terms
-    repeat along the residue line w = (5 - s)/4 of p_coefficients, where
-    s + 4w = 5: in float, 4w is the rounded 5 - s exactly, and s plus it
-    rounds back to 5.0 at s = 1 and at each Richardson step 1 +- 1e-3,
-    5e-4, 1e-4, 5e-5, so the nine points share them.  A point with any
-    other s + 4w rebuilds them.  The odd factors are multiplied by one
-    sequential np.prod, and every value is the same float whether ps is
-    shared or not.
+    odd factors are g_factor_odd over one array of the primes, multiplied by
+    one sequential np.prod, so results are reproducible.
     """
     _check_convergence_domain(s, w)
-    odd = ps if isinstance(ps, _OddFactors) else _OddFactors(ps)
+    ps = primes_up_to(prime_limit)
+    odd = ps[ps > 2].astype(np.float64)
     value = 1.0
     log_tail = 0.0
     if prime_limit >= 2:
         value *= g_factor_2(s, w)
     else:
         log_tail += abs(math.log(g_factor_2(s, w)))
-    if odd.p.size:
-        value *= float(np.prod(odd.factors(s, w)))
+    if odd.size:
+        value *= float(np.prod(g_factor_odd(odd, s, w)))
     # analytic bound beyond max(prime_limit, 10); explicit factors in between
     analytic_from = max(prime_limit, 10)
     for p in (3, 5, 7):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qpc import QTables, TruncSeries, build_spf_sieve
+from qpc.dirichlet import _EM_K, _EM_N, _em_terms
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +93,16 @@ def xw_rows(f):
     for (nu, mu), v in f.coeffs.items():
         rows[nu][mu] = v
     return rows
+
+
+def zeta_star(sigma: float) -> float:
+    """(sigma - 1) * zeta(sigma), analytic through sigma = 1, for the
+    Richardson cross-check of p_coefficients: the Euler-Maclaurin sum of
+    dirichlet.zeta, whose pole term contributes N^(1-sigma) exactly, so no
+    cancellation occurs near (or at) sigma = 1."""
+    s = float(sigma)
+    head = math.fsum(n ** (-s) for n in range(1, _EM_N))
+    tail = 0.0
+    for term in _em_terms(s, _EM_N, _EM_K)[0]:
+        tail += term
+    return (s - 1.0) * (head + 0.5 * _EM_N ** (-s) + tail) + _EM_N ** (1.0 - s)

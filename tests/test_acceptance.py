@@ -69,7 +69,7 @@ def nstar_1e6_timed(tables):
 
 @pytest.fixture(scope="module")
 def poly_1e6():
-    return p_coefficients(10**6)
+    return p_coefficients()
 
 
 _NAIVE_STATE = {}
@@ -309,8 +309,7 @@ def test_criterion_10_cli_golden(tmp_path):
             capture_output=True, text=True, env=environ, timeout=600,
         )
 
-    args = ("table", "--kind", "N_star", "--bounds", "10,100,1000",
-            "--prime-limit", "5000", "--no-timing")
+    args = ("table", "--kind", "N_star", "--bounds", "10,100,1000", "--no-timing")
     outs = {
         run(*args, env={"QPC_THREADS": "1"}).stdout,
         run(*args, env={"QPC_THREADS": "1"}).stdout,

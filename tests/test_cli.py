@@ -79,8 +79,7 @@ class TestCount:
 class TestTable:
     def test_rows_match_counting(self):
         res = run_cli(
-            "table", "--kind", "N_star", "--bounds", "10,100",
-            "--prime-limit", "10000", "--no-timing",
+            "table", "--kind", "N_star", "--bounds", "10,100", "--no-timing",
         )
         assert res.returncode == 0
         lines = res.stdout.splitlines()
@@ -98,12 +97,10 @@ class TestTable:
 
     def test_variants_emitted(self):
         paper = run_cli(
-            "table", "--kind", "N_star", "--bounds", "100", "--variant", "paper",
-            "--prime-limit", "10000", "--no-timing",
+            "table", "--kind", "N_star", "--bounds", "100", "--variant", "paper", "--no-timing",
         ).stdout
         chain = run_cli(
-            "table", "--kind", "N_star", "--bounds", "100", "--variant", "chain",
-            "--prime-limit", "10000", "--no-timing",
+            "table", "--kind", "N_star", "--bounds", "100", "--variant", "chain", "--no-timing",
         ).stdout
         p_pred = float(paper.splitlines()[1].split(",")[3])
         c_pred = float(chain.splitlines()[1].split(",")[3])
@@ -141,10 +138,16 @@ class TestVerify:
         assert "Traceback" not in captured.err
 
     def test_startup_loads_no_mpmath(self):
-        # the telescope imports mpmath when it runs, not when the CLI starts
-        code = "import sys, qpc.cli; qpc.cli.build_parser(); print('mpmath' in sys.modules)"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert res.stdout == "False\n", res.stderr
+        # the telescope imports mpmath when it runs, not when the CLI starts;
+        # the residue constants of table and constant are float only
+        for run in (
+            "qpc.cli.build_parser()",
+            "qpc.cli.main(['table', '--kind', 'S', '--bounds', '10,100', '--no-timing'])",
+            "qpc.cli.main(['constant', '--prime-limit', '1000'])",
+        ):
+            code = f"import sys, qpc.cli; {run}; print('mpmath' in sys.modules)"
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert res.stdout.splitlines()[-1:] == ["False"], (run, res.stderr)
 
 
 class TestConstant:
@@ -183,7 +186,7 @@ class TestConstant:
         "argv",
         [
             ("constant",),
-            ("table", "--kind", "T", "--bounds", "10"),
+            ("constant", "--format", "json"),
         ],
     )
     def test_huge_prime_limit_exit_2(self, argv):
@@ -226,6 +229,7 @@ class TestFlags:
             ("constant", ["--tolerance", "1e-6"]),
             ("constant", ["--no-timing"]),
             ("constant", ["--threads", "1"]),
+            ("table", ["--prime-limit", "5000"]),
         ],
     )
     def test_flag_the_command_does_not_read_exit_1(self, command, flag, capsys):
@@ -252,7 +256,7 @@ class TestFlags:
             ("table", ["--format", "json"]),
             ("table", ["--no-timing"]),
             ("table", ["--sieve-limit", "100"]),
-            ("table", ["--prime-limit", "5000"]),
+            ("table", ["--bounds", ""]),
             ("table", ["--threads", "2"]),
             ("verify", ["--suite", "local"]),
             ("verify", ["--tolerance", "1e-6"]),
@@ -270,8 +274,8 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("table", "--kind", "T", "--bounds", "10", "--prime-limit", "999"),
-            ("table", "--kind", "T", "--bounds", "", "--prime-limit", "999"),
+            ("table", "--kind", "T", "--bounds", "10", "--sieve-limit", "1"),
+            ("table", "--kind", "T", "--bounds", "10,-5"),
             ("table", "--kind", "T", "--bounds", "100,10"),
             ("count", "--kind", "star", "--B", "-1"),
             ("count", "--kind", "star", "--B", "3", "--sieve-limit", "1"),
@@ -299,14 +303,13 @@ class TestFlags:
         }
         parsed = _parser_flags()
         assert documented == parsed
-        assert sum(len(flags) for flags in parsed.values()) == 20
+        assert sum(len(flags) for flags in parsed.values()) == 19
 
 
 class TestGolden:
     def test_byte_identical_across_runs_and_threads(self):
         args = (
-            "table", "--kind", "T", "--bounds", "10,100,1000",
-            "--prime-limit", "5000", "--no-timing",
+            "table", "--kind", "T", "--bounds", "10,100,1000", "--no-timing",
         )
         runs = [
             run_cli(*args, env_extra={"QPC_THREADS": "1"}).stdout,
@@ -327,33 +330,29 @@ class TestGolden:
     # checks above.  B = 9170 is a bound where psi = 0.5*log(B) and
     # log(B) - 0.25*log(B*B) differ in the last bit.
     PINNED = {
-        ("table", "--kind", "S", "--bounds", "10,100,9170", "--prime-limit", "5000",
-         "--no-timing"): (
+        ("table", "--kind", "S", "--bounds", "10,100,9170", "--no-timing"): (
             "kind,bound,exact,predicted,ratio,seconds\n"
-            "S,10,699,393.21770777366049,1.7776412053201593,0\n"
-            "S,100,795036,650255.00393762498,1.2226526442482601,0\n"
-            "S,9170,955981948762,890350571760.72131,1.0737140841853885,0\n"
+            "S,10,699,393.24820067343427,1.777503365057916,0\n"
+            "S,100,795036,650290.91674740182,1.2225851223273703,0\n"
+            "S,9170,955981948762,890386465221.1615,1.0736708003805351,0\n"
         ),
-        ("table", "--kind", "T", "--bounds", "10,100,9170", "--prime-limit", "5000",
-         "--no-timing"): (
+        ("table", "--kind", "T", "--bounds", "10,100,9170", "--no-timing"): (
             "kind,bound,exact,predicted,ratio,seconds\n"
-            "T,10,79,51.407459232792881,1.5367419666133937,0\n"
-            "T,100,124184,102814.91846558577,1.2078402808982132,0\n"
-            "T,9170,176949582800,157068501652.82303,1.1265758630022535,0\n"
+            "T,10,79,51.408543214793504,1.5367095634265451,0\n"
+            "T,100,124184,102817.08642958701,1.2078148128136839,0\n"
+            "T,9170,176949582800,157071813612.43353,1.1265521084299301,0\n"
         ),
-        ("table", "--kind", "N_star", "--bounds", "10,100,9170", "--prime-limit", "5000",
-         "--no-timing"): (
+        ("table", "--kind", "N_star", "--bounds", "10,100,9170", "--no-timing"): (
             "kind,bound,exact,predicted,ratio,seconds\n"
-            "N_star,10,19840,6580.1547817974888,3.0151266433553929,0\n"
-            "N_star,100,21467264,13160309.563594978,1.6312126927002031,0\n"
-            "N_star,9170,24929035710784,20104768211561.348,1.2399563848962174,0\n"
+            "N_star,10,19840,6580.2935314935685,3.0150630674824619,0\n"
+            "N_star,100,21467264,13160587.062987138,1.6311782975376972,0\n"
+            "N_star,9170,24929035710784,20105192142391.492,1.2399302396231024,0\n"
         ),
-        ("table", "--kind", "N_u", "--bounds", "10,100,9170", "--prime-limit", "5000",
-         "--no-timing"): (
+        ("table", "--kind", "N_u", "--bounds", "10,100,9170", "--no-timing"): (
             "kind,bound,exact,predicted,ratio,seconds\n"
-            "N_u,10,17440,5474.0792756995279,3.185923900923294,0\n"
-            "N_u,100,17994976,10948158.551399056,1.6436532148778973,0\n"
-            "N_u,9170,21027432745824,16725304899224.131,1.257222685775937,0\n"
+            "N_u,10,17440,5474.1947025946392,3.1858567236809923,0\n"
+            "N_u,100,17994976,10948389.405189279,1.6436185573990274,0\n"
+            "N_u,9170,21027432745824,16725657570407.191,1.2571961764318293,0\n"
         ),
         # counts over several table and reduction blocks
         ("count", "--kind", "star", "--B", "100000", "--no-timing"): (
@@ -367,8 +366,8 @@ class TestGolden:
         ("constant", "--prime-limit", "5000"): (
             "name,value,error_bound\n"
             "C4,0.22326446640879782,7.8893922595427557e-12\n"
-            "c1_residue_route,0.22325975873468323,4.4656421813034121e-05\n"
-            "c0,0.052458002084189902,1.0129340982368831e-09\n"
+            "c1_residue_route,0.22326446640869677,5.0347670000403638e-15\n"
+            "c0,0.052481309696205403,5.3992729033786559e-15\n"
             "C4star_paper,8.5733555100978354,3.029526627664418e-10\n"
             "C4star_chain,11.431140680130449,4.0393688368858913e-10\n"
             "C4star_paper_over_zeta3,7.1322376566058212,2.5202855369835974e-10\n"
@@ -376,12 +375,12 @@ class TestGolden:
             "variant_ratio_chain_over_paper,1.3333333333333335,0\n"
             "residue_jacobian,0.25,0\n"
         ),
-        # the residue constants over all 78,498 primes below the default
-        # prime limit, as the benchmark's table and constant commands take them
+        # C4 over all 78,498 primes below the default prime limit, as the
+        # benchmark's constant command takes it
         ("constant", "--prime-limit", "1000000", "--format", "json"): (
             '{"C4":{"value":0.22326446640869343,"error_bound":6.6979341412046951e-12},'
-            '"c1_residue_route":{"value":0.22326445127679617,"error_bound":2.2326556290950563e-07},'
-            '"c0":{"value":0.05248119434012969,"error_bound":1.170534884824658e-09},'
+            '"c1_residue_route":{"value":0.22326446640869677,"error_bound":5.0347670000403638e-15},'
+            '"c0":{"value":0.052481309696205403,"error_bound":5.3992729033786559e-15},'
             '"C4star_paper":{"value":8.5733555100938279,"error_bound":2.5720067102226029e-10},'
             '"C4star_chain":{"value":11.431140680125104,"error_bound":3.4293422802968039e-10},'
             '"C4star_paper_over_zeta3":{"value":7.1322376566024879,'
@@ -393,8 +392,8 @@ class TestGolden:
         ),
         ("table", "--kind", "S", "--bounds", "10000,30000", "--no-timing"): (
             "kind,bound,exact,predicted,ratio,seconds\n"
-            "S,10000,1243482577325,1164376158179.821,1.0679388860631085,0\n"
-            "S,30000,37004720401265,34749450713093.484,1.0649008730178788,0\n"
+            "S,10000,1243482577325,1164376348895.3369,1.0679387111432763,0\n"
+            "S,30000,37004720401265,34749456086837.652,1.0649007083389024,0\n"
         ),
         ("verify", "--suite", "local"): "".join(
             f"PASS local_factor p={p} deg=30\n"
@@ -426,7 +425,7 @@ class TestGolden:
 
     def test_reals_carry_17_significant_digits(self):
         res = run_cli(
-            "table", "--kind", "T", "--bounds", "100", "--prime-limit", "5000", "--no-timing"
+            "table", "--kind", "T", "--bounds", "100", "--no-timing"
         )
         predicted = res.stdout.splitlines()[1].split(",")[3]
         mantissa = predicted.replace(".", "").replace("-", "").lstrip("0")
@@ -530,8 +529,8 @@ class TestVerifySuitesEndToEnd:
         commands = [
             ["count", "--kind", "star", "--B", "3000", "--no-timing"],
             ["count", "--kind", "primitive", "--B", "3000", "--no-timing"],
-            *(["table", "--kind", kind, "--bounds", "10,1000", "--prime-limit", "5000",
-               "--no-timing"] for kind in ("S", "T", "N_star", "N_u")),
+            *(["table", "--kind", kind, "--bounds", "10,1000", "--no-timing"]
+              for kind in ("S", "T", "N_star", "N_u")),
             ["verify", "--suite", "telescope"],
         ]
         want = []

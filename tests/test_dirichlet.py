@@ -17,16 +17,14 @@ from qpc import (
     local_factor_closed_form,
     primes_up_to,
     zeta,
-    zeta_star,
+    zeta_derivative,
 )
-from conftest import r4_star, set_zero, xw_rows
+from conftest import r4_star, set_zero, xw_rows, zeta_star
 from qpc.dirichlet import (
     _XW,
-    _OddFactors,
     _check_convergence_domain,
     _check_local_args,
     _g_tail_log_bound,
-    _g_value,
     _over_binomial,
     _times_binomial,
     _xw_series,
@@ -70,6 +68,15 @@ class TestZeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             zeta(1.0)
+        with pytest.raises(DomainError):
+            zeta_derivative(1.0)
+
+    def test_derivative_against_mpmath_sweep(self):
+        for s in (1.001, 1.01, 1.5, 2.0, 2.5, 3.0, 5.0, 7.0, 10.0, 11.0, 30.0, 60.0):
+            z = zeta_derivative(s)
+            ref = float(mpmath.zeta(s, derivative=1))
+            assert abs(z.value - ref) <= max(z.error_bound, 1e-15 * abs(ref)), s
+            assert z.error_bound <= max(1e-12, 1e-14 * abs(ref)), s
 
     def test_euler_product_cross_check(self):
         ps = primes_up_to(10**6).astype(np.float64)
@@ -376,14 +383,15 @@ def reference_g_value(s: float, w: float, prime_limit: int, ps: np.ndarray) -> t
     return value, tail_bound
 
 
-# (1, 1) and the Richardson points of p_coefficients on the line w = (5 - s)/4
+# (1, 1) and the Richardson points of the cross-check of p_coefficients in
+# test_asymptotics, on the line w = (5 - s)/4
 RESIDUE_POINTS = [(1.0, 1.0)] + [
     (s, (5.0 - s) / 4.0)
     for eps in (1e-3, 5e-4, 1e-4, 5e-5)
     for s in (1.0 + eps, 1.0 - eps)
 ]
-# off the line s + 4w = 5, each followed by a point on it, so that a shared
-# p^-(s+4w) must be recomputed both ways; (1, 1 + 2^-40) misses 5 by 2^-38
+# off the line s + 4w = 5, each followed by a point on it; (1, 1 + 2^-40)
+# misses 5 by 2^-38
 OFF_LINE_POINTS = [(6.0, 2.0), (7.0, 3.0), (2.0, 1.5), (1.0, 1.0 + 2.0**-40), (1.001, 1.2)]
 G_SEQUENCE = RESIDUE_POINTS[:3] + [
     pt for pair in zip(OFF_LINE_POINTS, RESIDUE_POINTS[3:]) for pt in pair
@@ -392,21 +400,15 @@ G_SEQUENCE = RESIDUE_POINTS[:3] + [
 
 class TestGBitIdentity:
     def test_residue_line_is_exact_in_float(self):
-        # the premise of sharing p^-(s+4w) between the nine residue points
+        # the sequence covers G with y = p^-5 exactly and with y off it
         assert all(s + 4 * w == 5.0 for s, w in RESIDUE_POINTS)
         assert all(s + 4 * w != 5.0 for s, w in OFF_LINE_POINTS)
 
     @pytest.mark.parametrize("prime_limit", [1, 2, 3, 7, 10, 10**3, 5000, 10**6])
     def test_g_value_matches_reference(self, prime_limit):
         ps = primes_up_to(prime_limit)
-        shared = _OddFactors(ps)
         for s, w in G_SEQUENCE:
-            want = reference_g_value(s, w, prime_limit, ps)
-            assert _g_value(s, w, prime_limit, shared) == want, (s, w)
-            assert _g_value(s, w, prime_limit, ps) == want, (s, w)
-        if prime_limit <= 10**3:
-            for s, w in (G_SEQUENCE[0], G_SEQUENCE[3], G_SEQUENCE[-1]):
-                assert g_value(s, w, prime_limit) == reference_g_value(s, w, prime_limit, ps)
+            assert g_value(s, w, prime_limit) == reference_g_value(s, w, prime_limit, ps), (s, w)
 
     def test_g_factor_odd_matches_reference(self):
         # in the convergence domain p^3 z <= p^-4, so its last bits vanish
@@ -414,11 +416,9 @@ class TestGBitIdentity:
         # terms and a last-bit change in any power shows
         primes = primes_up_to(10**5)
         ps = primes.astype(np.float64)[1:]
-        shared = _OddFactors(primes)
         for s, w in G_SEQUENCE + [(1.1, -0.9), (0.3, 0.05), (-0.5, 0.2)]:
             want = reference_g_factor_odd(ps, s, w)
             assert np.array_equal(g_factor_odd(ps, s, w), want), (s, w)
-            assert np.array_equal(shared.factors(s, w), want), (s, w)
             for p in (3.0, 5.0, 7.0, 101.0, 9973.0):
                 assert g_factor_odd(p, s, w) == reference_g_factor_odd(p, s, w), (p, s, w)
 

@@ -45,7 +45,6 @@ from .dirichlet import (
     local_factor_closed_form,
     local_factor_definition,
     zeta,
-    zeta_derivative,
 )
 from .errors import DomainError, ResourceError
 from .series import RationalFunction, TruncSeries

@@ -103,7 +103,7 @@ def zeta(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
     return ZetaValue(s, value, omitted + rounding)
 
 
-def zeta_derivative(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
+def zeta_derivative(s: float) -> ZetaValue:
     """zeta'(s) on the real axis s > 1: the Euler-Maclaurin sum of zeta,
     differentiated term by term in s.
 
@@ -113,7 +113,7 @@ def zeta_derivative(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
     (-1)^m (log x - sum_{j<m} 1/(s+j)); once log N exceeds that sum for the
     first omitted order, the derivative keeps one sign on x >= N and the
     remainder is at most twice the first omitted term.  The cutoff N doubles
-    until this holds and the bound meets the tolerance, as in zeta; the
+    until this holds and the bound meets ZETA_TOLERANCE, as in zeta; the
     error bound adds the same kind of float-rounding allowance.
     """
     if s <= 1.0:
@@ -132,7 +132,7 @@ def zeta_derivative(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
         terms, omitted = _em_terms(s, N, _EM_K)
         tail = math.fsum(t * (harmonic[2 * k + 1] - log_n) for k, t in enumerate(terms))
         omitted *= 2.0 * (log_n - harmonic[-2])
-        if omitted <= tolerance or N >= 1024:
+        if omitted <= ZETA_TOLERANCE or N >= 1024:
             break
         N *= 2
     rounding = 8.0 * (abs(head) + abs(pole) + abs(half) + abs(tail)) * 2.2e-16

@@ -17,7 +17,6 @@ from qpc import (
     local_factor_closed_form,
     primes_up_to,
     zeta,
-    zeta_derivative,
 )
 from conftest import r4_star, set_zero, xw_rows, zeta_star
 from qpc.dirichlet import (
@@ -30,6 +29,7 @@ from qpc.dirichlet import (
     _xw_series,
     g_factor_2,
     g_factor_odd,
+    zeta_derivative,
 )
 
 mpmath.mp.dps = 40

@@ -8,10 +8,13 @@ so that 8*r4*(d) counts representations of d as a sum of four squares.
 Only its values at squares enter, and on a prime power r4*(p^(2b)) is
 r4_star_p2b(p, b).  The counts read three q-indexed tables, g(q) =
 r4*(q^2), kappa(q) and the Mobius function mu(q), which one segmented
-sieve builds block by block (QTables.upto); the squarefree part of q is
-kappa(q)^2 / q.  The n-ordered oracle square_divisor_blocks factors n
-through a smallest-prime-factor (SPF) table instead, and primes_up_to
-lists the primes of the Euler products.
+sieve builds block by block (QTables.upto), with a few scalar updates on
+the strided multiples of each prime power in each block; the squarefree
+part of q is kappa(q)^2 / q.  A caller that knows its largest bound asks
+for it first, so each qpc command sieves its tables once.  The n-ordered
+oracle square_divisor_blocks factors n through a smallest-prime-factor
+(SPF) table instead, and primes_up_to lists the primes of the Euler
+products.
 """
 
 from __future__ import annotations
@@ -110,23 +113,15 @@ class QTables:
         return tables
 
 
-def _prime_plan(top: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """For each prime p <= isqrt(top): p and, indexed by a = 0..log_p(top),
-    arrays of p^a, r4*(p^(2a)) and p^ceil(a/2) (int64) and mu(p^a) (int8)."""
+def _prime_plan(top: int) -> list[tuple[int, int, int, int, int]]:
+    """(p, p^j, j, r4*(p^(2j-2)), r4*(p^(2j))) for each prime power p^j <=
+    top with p <= max(2, isqrt(top)), in order of p and then j."""
     plan = []
-    for p in primes_up_to(math.isqrt(top)).tolist():
-        amax = 1
-        while p ** (amax + 1) <= top:
-            amax += 1
-        exps = range(amax + 1)
-        local = [r4_star_p2b(p, a) for a in exps]
-        plan.append((
-            p,
-            np.array([p**a for a in exps], dtype=np.int64),
-            np.array(local, dtype=np.int64),
-            np.array([p ** ((a + 1) // 2) for a in exps], dtype=np.int64),
-            np.array([1, -1] + [0] * (amax - 1), dtype=np.int8),
-        ))
+    for p in primes_up_to(max(2, math.isqrt(top))).tolist():
+        pj, j = p, 1
+        while pj <= top:
+            plan.append((p, pj, j, r4_star_p2b(p, j - 1), r4_star_p2b(p, j)))
+            pj, j = pj * p, j + 1
     return plan
 
 
@@ -134,38 +129,49 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
     """Fill g, k and mu with r4*(q^2), kappa(q) and mu(q) for lo <= q < hi =
     lo + len(g), in place.
 
-    A segmented sieve (Bays & Hudson, BIT 17, 1977) over the primes of
-    plan, which must cover every p <= isqrt(hi - 1): the exponent a of p in
-    each multiple of p in the block is 1 plus one for each power p^k that
-    divides it, counted on the strided slices of the multiples of p^k.  The
-    cofactor left above 1 is a single prime P > isqrt(hi - 1), which puts
-    r4*(P^2) = P^2 + P + 1 into g (3 when P = 2), P into kappa and flips
-    the sign of mu.
+    A segmented sieve (Bays & Hudson, BIT 17, 1977) over the prime powers
+    of plan, which must hold every p^j <= hi - 1 with p <= max(2, isqrt(hi -
+    1)).  Each p^j makes a few scalar updates on the strided slice of its
+    multiples, with no per-q exponent: j = 1 negates mu and multiplies g by
+    r4*(p^2); j = 2 zeroes mu; for odd p and j >= 2, g is divided by
+    r4*(p^(2j-2)), exactly, since that factor went in at step j - 1, and
+    multiplied by r4*(p^(2j)) (for p = 2 both are 3); an odd j multiplies
+    kappa by p and an even j multiplies u by p, so that kappa * u is the
+    part of q the plan sieves (u = q / kappa, as in QTables.upto).  The
+    cofactor P = q // (kappa * u) left is 1 or a single odd prime above
+    isqrt(hi - 1), which multiplies g by r4*(P^2) = P^2 + P + 1 and kappa
+    by P and flips the sign of mu.
+
+    Overflow: g divides before it multiplies, so every intermediate is at
+    most the final r4*(q^2) < 7 q^2 < 2^55 (see Q_TABLE_CAP); kappa, u and
+    kappa * u are at most q < 2^26 and fit int32; P^2 + P + 1 < 2^53.
     """
     hi = lo + len(g)
-    rest = np.arange(lo, hi, dtype=np.int64)
+    u = np.ones(len(g), dtype=np.int32)
     for out in (g, k, mu):
         out.fill(1)
-    for p, powers, local, half, sign in plan:
-        first = -(-lo // p) * p
-        # empty when a short trailing block holds no multiple of p
-        a = np.ones((hi - 1 - first) // p + 1, dtype=np.intp)
-        pk = p * p
-        while pk < hi:
-            f = -(-lo // pk) * pk
-            if f >= hi:
-                break
-            a[(f - first) // p :: pk // p] += 1
-            pk *= p
-        sl = slice(first - lo, None, p)
-        rest[sl] //= powers[a]
-        g[sl] *= local[a]
-        k[sl] *= half[a]
-        mu[sl] *= sign[a]
-    big = rest > 1
-    P = rest[big]
-    g[big] *= np.where(P == 2, 3, P * P + P + 1)
-    k[big] *= P
+    for p, pj, j, below, local in plan:
+        first = -(-lo // pj) * pj - lo
+        if first >= len(g):
+            continue
+        s = slice(first, None, pj)
+        if j == 1:
+            np.negative(mu[s], out=mu[s])
+            g[s] *= local
+        else:
+            if j == 2:
+                mu[s] = 0
+            if p != 2:
+                g[s] //= below
+                g[s] *= local
+        if j % 2:
+            k[s] *= p
+        else:
+            u[s] *= p
+    P = np.arange(lo, hi, dtype=np.int64) // (k * u)
+    big = P > 1
+    g *= np.where(big, P * P + P + 1, 1)
+    k *= P
     np.negative(mu, out=mu, where=big)
 
 

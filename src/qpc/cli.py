@@ -98,6 +98,7 @@ def cmd_table(args) -> int:
         _emit_records([], args)
         return EXIT_OK
     tables = _tables_for(args, max(bounds))
+    tables.upto(max(bounds))  # one build, not one per doubling of the bound
     poly = asymptotics.p_coefficients()
     records = asymptotics.convergence_table(
         args.kind, bounds, tables, poly, args.variant
@@ -133,6 +134,7 @@ def _suite_partition(args):
     rng = random.Random(47)
     sample = sorted(rng.sample(range(1, 4001), 40))
     tables = arith.QTables()
+    tables.upto(max(sample))
     # one n-ordered pass gives N* at every sampled bound
     curve = counting.n_star_by_divisors(max(sample))
     checks = []
@@ -147,6 +149,7 @@ def _suite_partition(args):
 
 def _suite_oracle(args):
     tables = arith.QTables()
+    tables.upto(40)
     primitive = counting.brute_force_primitive_curve(40)
     checks = []
     for B in range(0, 41):
@@ -156,9 +159,11 @@ def _suite_oracle(args):
     return checks
 
 def _suite_telescope(args):
+    bounds = (10, 100, 1000)
     tables = arith.QTables()
+    tables.upto(max(bounds))
     checks = []
-    for B in (10, 100, 1000):
+    for B in bounds:
         try:
             rep = counting.telescoping_check(B, tables)
         except ArithmeticError:

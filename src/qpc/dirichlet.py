@@ -42,6 +42,11 @@ _BERNOULLI = [
     Fraction(8553103, 6),
 ]
 
+# B_2k / (2k)! as floats, for k = 1..len(_BERNOULLI), taken once.
+_EM_COEFFS = [
+    (b.numerator / b.denominator) / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)
+]
+
 _EM_N = 24
 _EM_K = 11
 
@@ -64,14 +69,10 @@ def _em_terms(s: float, N: int, K: int) -> tuple[list[float], float]:
     rising = s  # s(s+1)...(s+2k-2)
     npow = N ** (-s - 1.0)
     for k in range(1, K + 1):
-        b = _BERNOULLI[k - 1]
-        terms.append((b.numerator / b.denominator) / math.factorial(2 * k) * rising * npow)
+        terms.append(_EM_COEFFS[k - 1] * rising * npow)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         npow /= N * N
-    b_next = _BERNOULLI[K]
-    omitted = abs(b_next.numerator / b_next.denominator) / math.factorial(2 * K + 2) * abs(
-        rising
-    ) * npow
+    omitted = abs(_EM_COEFFS[K]) * abs(rising) * npow
     return terms, omitted
 
 

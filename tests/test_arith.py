@@ -55,6 +55,13 @@ class TestSieve:
         assert int(s.spf[9999991]) == 9999991
 
 
+def q_table_row(q, spf):
+    """(r4*(q^2), kappa(q), mu(q)) through the per-integer oracles."""
+    fac = factor(q, spf)
+    kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac)
+    return r4_star([(p, 2 * a) for p, a in fac]), kappa, mobius(fac)
+
+
 class TestQTables:
     def test_against_factorization_while_growing(self, sieve_small):
         # tables grow to max(n, 2 * current): 1, 2, 4, 9, 5000, 10000
@@ -73,15 +80,28 @@ class TestQTables:
             assert all(np.array_equal(a, b[:top]) for a, b in zip(stage, stages[-1]))
         for q in range(1, 10**4 + 1):
             fac = factor(q, sieve_small.spf)
-            squared = [(p, 2 * a) for p, a in fac]
             kappa = math.prod(p ** ((a + 1) // 2) for p, a in fac)
-            assert (int(g[q]), int(k[q]), int(mu[q])) == (r4_star(squared), kappa, mobius(fac)), q
+            assert (int(g[q]), int(k[q]), int(mu[q])) == q_table_row(q, sieve_small.spf), q
             # the squarefree part of q is kappa^2 / q
             assert kappa * kappa // q == math.prod(p for p, a in fac if a % 2), q
 
+    @pytest.mark.parametrize("top", [2 * Q_BLOCK, 3 * Q_BLOCK + 5, 131**2 - 1, 131**2 + 1])
+    def test_block_edges_and_table_end(self, sieve_big, top):
+        # a fresh build sieves 1..top in blocks starting at 1 + m * Q_BLOCK;
+        # 131^2 + 1 puts the square of the largest sieving prime in a short
+        # last block, and 131^2 - 1 leaves 131 out of the plan
+        g, k, mu = QTables().upto(top)
+        assert len(g) == top + 1
+        window = set(range(max(1, top - 40), top + 1))
+        for edge in range(1 + Q_BLOCK, top + 1, Q_BLOCK):
+            window.update(range(edge - 40, min(edge + 40, top + 1)))
+        for q in sorted(window):
+            assert (int(g[q]), int(k[q]), int(mu[q])) == q_table_row(q, sieve_big.spf), q
+
     def test_every_size_agrees_with_the_largest(self):
-        # a fresh build to each n <= 300 sieves with the primes up to isqrt(n)
-        # only, so its leftover cofactors differ from the largest build's
+        # a fresh build to each n <= 300 sieves with the primes up to
+        # max(2, isqrt(n)) only, so its leftover cofactors differ from the
+        # largest build's
         largest = QTables().upto(300)
         for n in range(1, 301):
             tables = QTables().upto(n)
@@ -158,11 +178,18 @@ class TestR4Star:
                 assert r4_star_p2b(p, b) == r4_star_divisor_oracle([(p, 2 * b)]), (p, b)
 
     def test_prime_plan_local_column(self):
-        plan = arith._prime_plan(10**6)
-        assert [p for p, *_ in plan] == primes_up_to(1000).tolist()
-        for p, powers, local, *_ in plan:
-            assert len(local) == len(powers) and local.dtype == np.int64
-            assert local.tolist() == [r4_star_p2b(p, b) for b in range(len(local))], p
+        # one entry (p, p^j, j, r4*(p^(2j-2)), r4*(p^(2j))) per prime power
+        # p^j <= top, ascending in p and then in j
+        top = 10**6
+        plan = arith._prime_plan(top)
+        powers = [(p, j) for p in primes_up_to(1000).tolist() for j in range(1, 20) if p**j <= top]
+        assert [(p, j) for p, _, j, _, _ in plan] == powers
+        for p, pj, j, below, local in plan:
+            assert pj == p**j
+            assert (below, local) == (r4_star_p2b(p, j - 1), r4_star_p2b(p, j)), (p, j)
+        # p = 2 is always sieved, so a cofactor left above 1 is odd
+        assert arith._prime_plan(1) == []
+        assert arith._prime_plan(3) == [(2, 2, 1, 1, 3)]
 
     def test_multiplicative(self, sieve_small):
         rng = random.Random(7)

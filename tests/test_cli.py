@@ -523,6 +523,27 @@ class TestVerifySuitesEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == "" and "q-tables" in captured.err
 
+    @pytest.mark.parametrize("argv, top", [
+        (["table", "--kind", "T", "--bounds", "10,100,9170", "--no-timing"], 9170),
+        (["table", "--kind", "N_u", "--bounds", "10,100,9170", "--no-timing"], 9170),
+        (["verify", "--suite", "partition"], 3955),
+        (["verify", "--suite", "telescope"], 1000),
+        (["verify", "--suite", "oracle"], 40),
+    ])
+    def test_each_command_sieves_its_q_tables_once(self, argv, top, monkeypatch, capsys):
+        # growing by doubling would sieve once per doubling of the bound
+        tops = []
+        plan = arith._prime_plan
+
+        def counted(n):
+            tops.append(n)
+            return plan(n)
+
+        monkeypatch.setattr(arith, "_prime_plan", counted)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+        assert tops == [top]
+
     def test_counts_build_no_spf_table(self, monkeypatch, capsys):
         # every count reads the q-tables alone; the SPF table belongs to the
         # n-ordered oracles

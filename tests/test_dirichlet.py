@@ -20,9 +20,12 @@ from qpc import (
 )
 from conftest import r4_star, set_zero, xw_rows, zeta_star
 from qpc.dirichlet import (
+    _BERNOULLI,
+    _EM_K,
     _XW,
     _check_convergence_domain,
     _check_local_args,
+    _em_terms,
     _g_tail_log_bound,
     _over_binomial,
     _times_binomial,
@@ -77,6 +80,25 @@ class TestZeta:
             ref = float(mpmath.zeta(s, derivative=1))
             assert abs(z.value - ref) <= max(z.error_bound, 1e-15 * abs(ref)), s
             assert z.error_bound <= max(1e-12, 1e-14 * abs(ref)), s
+
+    def test_cached_em_coefficients_give_the_same_terms(self):
+        # the corrections B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) and the
+        # first omitted one, with B_2k/(2k)! from the Fractions each time
+        def reference(s, N, K):
+            terms, rising, npow = [], s, N ** (-s - 1.0)
+            for k in range(1, K + 1):
+                b = _BERNOULLI[k - 1]
+                terms.append((b.numerator / b.denominator) / math.factorial(2 * k) * rising * npow)
+                rising *= (s + 2 * k - 1) * (s + 2 * k)
+                npow /= N * N
+            b = _BERNOULLI[K]
+            omitted = abs(b.numerator / b.denominator) / math.factorial(2 * K + 2)
+            return terms, omitted * abs(rising) * npow
+
+        for s in (1.001, 1.5, 2.0, math.pi, 7.0, 60.0):
+            for N in (1, 24, 48, 1000):
+                for K in (1, _EM_K, len(_BERNOULLI) - 1):
+                    assert _em_terms(s, N, K) == reference(s, N, K), (s, N, K)
 
     def test_euler_product_cross_check(self):
         ps = primes_up_to(10**6).astype(np.float64)

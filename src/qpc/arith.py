@@ -13,8 +13,9 @@ the strided multiples of each prime power in each block; the squarefree
 part of q is kappa(q)^2 / q.  A caller that knows its largest bound asks
 for it first, so each qpc command sieves its tables once.  The n-ordered
 oracle square_divisor_blocks factors n through a smallest-prime-factor
-(SPF) table instead, and primes_up_to lists the primes of the Euler
-products.
+(SPF) table instead, with p^a and a for the smallest prime of each n
+beside it and the factors p^b and r4*(p^(2b)) built once per prime power
+p^a, and primes_up_to lists the primes of the Euler products.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ Q_BLOCK = 1 << 14
 # such as kappa(q)^2 and B q for B, q below it stay under 2^52.
 Q_TABLE_CAP = 1 << 26
 # square_divisor_blocks covers n up to this cap (7 n^4 < 2^63), SQUARE_BLOCK
-# n at a time: the two-point global series check peaks at 1.5 MB
-# (tracemalloc) with 256 n per block and at 16.5 MB with 4096, as fast.
+# n at a time.  The two-point global series check at N = 10^4 peaks at
+# 1.8 MB (tracemalloc) with 256 n per block, at 2.6 MB with 512 and at 13 MB
+# with 4096, and takes 22, 22 and 31 ms: a longer block buys no time for
+# its memory.
 SQUARE_DIVISOR_CAP = 1 << 15
 SQUARE_BLOCK = 256
 # The q-tables before their first build: entry 0 alone, read-only.
@@ -207,52 +210,96 @@ def r4_star_p2b(p: int, b: int) -> int:
     return (p ** (2 * b + 1) - 1) // (p - 1)
 
 
+def _spf_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pk, e) beside an SPF table: pk[i] = p^a (int32) and e[i] = a (int8)
+    for p = spf(i) and p^a || i, with pk[1] = 1 and e[1] = 0, for tables
+    up to 2^31.  m = i // spf(i) < i, so each doubling range [2^k, 2^(k+1))
+    is filled from the entries below it: p^a || i is p times p^(a-1) || m
+    when spf(m) = p, and p alone otherwise.
+    """
+    pk = np.ones(len(spf), dtype=np.int32)
+    e = np.zeros(len(spf), dtype=np.int8)
+    lo = 2
+    while lo < len(spf):
+        i = np.arange(lo, min(2 * lo, len(spf)))
+        p = spf[i]
+        m = i // p
+        same = spf[m] == p
+        pk[i] = np.where(same, pk[m], 1) * p
+        e[i] = np.where(same, e[m], 0) + 1
+        lo *= 2
+    return pk, e
+
+
+def _prime_power_segments(spf: np.ndarray, pk: np.ndarray, e: np.ndarray):
+    """(off, pb, local) for the prime powers p^a of an SPF table and its
+    _spf_prime_powers: the segment of p^a, at off[p^a] in pb and local, holds
+    p^b and r4*(p^(2b)) for b = 0..2a, int64, and that of 1 holds 1 and 1.
+    off is int32, zero off the prime powers.
+    """
+    pp = np.flatnonzero(pk == np.arange(len(pk), dtype=np.int32))  # 1, p^a
+    width = 2 * e[pp].astype(np.int64) + 1
+    off = np.zeros(len(pk), dtype=np.int32)
+    off[pp] = np.cumsum(width) - width
+    p = np.repeat(spf[pp].astype(np.int64), width)
+    b = np.arange(len(p)) - np.repeat(off[pp], width)
+    pb = p**b
+    p2b = pb * pb
+    local = p2b + (p2b - 1) // np.maximum(p - 1, 1)
+    local[(p == 2) & (b > 0)] = 3  # r4*(2^(2b)) = 1 + 2
+    return off, pb, local
+
+
 def square_divisor_blocks(limit: int):
     """Yield (lo, counts, q, g) for 1 <= n <= limit, SQUARE_BLOCK n at a time.
 
     q holds every divisor of n^2 and g = r4*(q^2), both int64, grouped by
-    n in ascending order: counts[i] rows for n = lo + i.  Each block is
-    factored through one SPF table: while some n has a cofactor rest > 1,
-    take p = spf(rest) and its exponent a, divide p^a out, and repeat each
-    row of that n 2a + 1 times with q p^b and g r4*(p^(2b)), b = 0..2a
-    (once, with b = 0, where rest = 1): one expansion per distinct prime of
-    n, at most 6 below 2^15 (2*3*5*7*11*13*17 > 2^15).
+    n in ascending order: counts[i] rows for n = lo + i.  Each call builds
+    one SPF table, its prime powers (_spf_prime_powers) and, once for each
+    prime power p^a <= limit, a segment of p^b and r4*(p^(2b)), b = 0..2a
+    (_prime_power_segments).  A block is then factored one distinct prime
+    per pass, with no exponent loop: p^a = pk(rest), a = e(rest), rest //=
+    p^a.  Each row of n is repeated 2a + 1 times (once, b = 0, where rest
+    = 1) and multiplied by the entries of the segment of p^a, so rows run
+    over the primes ascending with the b of the largest prime fastest.
+    There are at most 6 passes below 2^15 (2*3*5*7*11*13*17 > 2^15).
 
-    Overflow: q <= n^2 and r4*(q^2) <= sigma(q^2) < 7 q^2 (prod p/(p-1)
-    over the 6 smallest primes is below 5.3), so g < 7 limit^4 < 2^63 for
-    limit <= SQUARE_DIVISOR_CAP = 2^15, and so are its partial products.
-    r4*(p^(2b)) is taken as p^(2b) + (p^(2b) - 1) // (p - 1), never as
-    (p^(2b+1) - 1) // (p - 1), which wraps (p = 6211, b = 2: p^5 > 2^63).
-    Raises ResourceError past the cap, before anything is allocated.
+    Overflow: the segments hold p^b <= n^2 <= 2^30, (p^b)^2 <= 2^60 and
+    r4*(p^(2b)) = p^(2b) + (p^(2b) - 1) // (p - 1) < 2^61, never (p^(2b+1)
+    - 1) // (p - 1), which wraps (p = 6211, b = 2: p^5 > 2^63).  A row's q
+    <= n^2 and g = r4*(q^2) <= sigma(q^2) < 7 q^2 (prod p/(p-1) over the 6
+    smallest primes is below 5.3), so g < 7 limit^4 < 2^63 for limit <=
+    SQUARE_DIVISOR_CAP = 2^15, and every partial product is at most the
+    final g.  Raises ResourceError past the cap, before anything is
+    allocated.
     """
     if limit > SQUARE_DIVISOR_CAP:
         raise ResourceError(
             f"divisors of n^2 for n up to {limit} overflow int64 past n = {SQUARE_DIVISOR_CAP}"
         )
     spf = build_spf_sieve(max(limit, 2)).spf
+    pk, e = _spf_prime_powers(spf)
+    off, pb, local = _prime_power_segments(spf, pk, e)
     for lo in range(1, limit + 1, SQUARE_BLOCK):
         rest = np.arange(lo, min(lo + SQUARE_BLOCK, limit + 1), dtype=np.int64)
         counts = np.ones(len(rest), dtype=np.int64)
         q = np.ones(len(rest), dtype=np.int64)
         g = np.ones(len(rest), dtype=np.int64)
-        while (live := rest > 1).any():
-            p = spf[rest].astype(np.int64)  # spf[1] == 1, where a stays 0
-            a = np.zeros(len(rest), dtype=np.int64)
-            hit = live
-            while hit.any():
-                a += hit
-                rest[hit] //= p[hit]
-                hit &= rest % p == 0
-            reps = np.repeat(2 * a + 1, counts)
-            counts *= 2 * a + 1
-            b = np.arange(counts.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            p = np.repeat(p, counts)
-            pb = p**b
-            p2b = pb * pb
-            local = p2b + (p2b - 1) // np.maximum(p - 1, 1)
-            local[(p == 2) & (b > 0)] = 3  # r4*(2^(2b)) = 1 + 2
-            q = np.repeat(q, reps) * pb
-            g = np.repeat(g, reps) * local
+        while (rest > 1).any():
+            power = pk[rest]  # pk[1] == 1, where a = e[1] = 0
+            width = 2 * e[rest].astype(np.int64) + 1
+            seg = off[power]
+            rest //= power
+            # row r of n goes to rows first[r] + b, which read seg[n] + b
+            reps = np.repeat(width, counts)
+            first = np.cumsum(reps) - reps
+            at = np.repeat(np.repeat(seg, counts) - first, reps)
+            at += np.arange(len(at))
+            q = np.repeat(q, reps)
+            q *= pb[at]
+            g = np.repeat(g, reps)
+            g *= local[at]
+            counts *= width
         yield lo, counts, q, g
 
 

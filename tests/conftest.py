@@ -52,13 +52,16 @@ def mobius(factors):
 
 
 def square_divisor_weights(factors):
-    """(q, r4*(q^2)) for every divisor q of n^2, in no particular order,
-    built one prime power p^b (0 <= b <= 2a) at a time: the per-integer
-    oracle of arith.square_divisor_blocks."""
+    """(q, r4*(q^2)) for every divisor q = prod p_i^b_i of n^2, 0 <= b_i <=
+    2 a_i, built one prime power p^b at a time in Python ints: the
+    per-integer oracle of arith.square_divisor_blocks, rows and their order.
+    Each prime's b varies inside every row so far, so the rows come in
+    itertools.product order over b_1..b_k, the b of the largest prime
+    fastest."""
     pairs = [(1, 1)]
     for p, a in factors:
         powers = [(1, 1)] + [(p**b, r4_star([(p, 2 * b)])) for b in range(1, 2 * a + 1)]
-        pairs = [(q * pb, w * wb) for pb, wb in powers for q, w in pairs]
+        pairs = [(q * pb, w * wb) for q, w in pairs for pb, wb in powers]
     return pairs
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -294,6 +295,16 @@ class TestSquareDivisorPairs:
     def test_pair_count_six(self, sieve_small):
         assert len(square_divisor_weights(factor(6, sieve_small.spf))) == 9  # tau(36)
 
+    @pytest.mark.parametrize("n", [12, 2310, 9240])
+    def test_rows_in_product_order(self, sieve_small, n):
+        # the order square_divisor_blocks yields: the b of the largest prime fastest
+        fac = factor(n, sieve_small.spf)
+        want = [
+            math.prod(p**b for (p, _), b in zip(fac, bs))
+            for bs in itertools.product(*(range(2 * a + 1) for _, a in fac))
+        ]
+        assert [q for q, _ in square_divisor_weights(fac)] == want
+
     def test_reparametrization(self, sieve_small):
         # {q^2 : q | n^2} equals {d : d | n^4, n^4/d square}, for all n <= 1e4
         ns = range(1, 10**4 + 1)
@@ -326,40 +337,117 @@ class TestSquareDivisorPairs:
                 assert w == r4_star_divisor_oracle(d_factors), (n, q)
 
 
-def block_rows(limit):
-    """{n: sorted (q, r4*(q^2)) rows} from square_divisor_blocks(limit)."""
+# tracemalloc peaks of one square_divisor_blocks pass, 10 % above the
+# 0.975 MB (at 10^4) and 1.50 MB (at SQUARE_DIVISOR_CAP) it measures
+BOUND_10K_MB = 1.07
+BOUND_CAP_MB = 1.65
+
+
+def block_rows(blocks):
+    """{n: [(q, r4*(q^2)), ...] in the order yielded} from the blocks of
+    square_divisor_blocks."""
     rows = {}
-    for lo, counts, q, g in square_divisor_blocks(limit):
-        assert q.dtype == np.int64 and g.dtype == np.int64
+    for lo, counts, q, g in blocks:
+        assert counts.dtype == q.dtype == g.dtype == np.int64
         assert len(q) == len(g) == int(counts.sum())
         ends = np.cumsum(counts).tolist()
         for i, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
-            rows[lo + i] = sorted(zip(q[start:end].tolist(), g[start:end].tolist()))
+            rows[lo + i] = list(zip(q[start:end].tolist(), g[start:end].tolist()))
     return rows
+
+
+def assert_rows_in_oracle_order(rows, spf):
+    # unsorted: np.add.reduceat sums each n's rows in this order
+    for n, got in rows.items():
+        assert got == square_divisor_weights(factor(n, spf)), n
 
 
 class TestSquareDivisorBlocks:
     def test_matches_the_per_integer_oracle(self, sieve_small):
-        rows = block_rows(10**4)
+        rows = block_rows(square_divisor_blocks(10**4))
         assert list(rows) == list(range(1, 10**4 + 1))
-        for n, got in rows.items():
-            assert got == sorted(square_divisor_weights(factor(n, sieve_small.spf))), n
+        assert_rows_in_oracle_order(rows, sieve_small.spf)
 
-    @pytest.mark.parametrize("limit", [0, 1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 255, 256, 257, 513])
     def test_block_edges(self, sieve_small, limit):
         blocks = list(square_divisor_blocks(limit))
         assert [lo for lo, *_ in blocks] == list(range(1, limit + 1, SQUARE_BLOCK))
         assert sum(len(counts) for _, counts, _, _ in blocks) == limit
-        rows = block_rows(limit)
+        rows = block_rows(blocks)
         assert list(rows) == list(range(1, limit + 1))
-        for n, got in rows.items():
-            assert got == sorted(square_divisor_weights(factor(n, sieve_small.spf))), n
+        assert_rows_in_oracle_order(rows, sieve_small.spf)
+
+    def test_order_at_the_cap(self):
+        # the block of 30030 = 2*3*5*7*11*13 (six primes, the most below
+        # 2^15) and the last block, which ends at 2^15 (31 rows)
+        spf = build_spf_sieve(SQUARE_DIVISOR_CAP).spf
+        blocks = list(square_divisor_blocks(SQUARE_DIVISOR_CAP))
+        assert blocks[-1][0] + len(blocks[-1][1]) - 1 == SQUARE_DIVISOR_CAP
+        wanted = [blk for blk in blocks if blk[0] <= 30030 < blk[0] + SQUARE_BLOCK]
+        rows = block_rows(wanted + blocks[-1:])
+        assert len(rows[30030]) == 3**6 and len(rows[SQUARE_DIVISOR_CAP]) == 31
+        assert len(rows) == 2 * SQUARE_BLOCK
+        assert_rows_in_oracle_order(rows, spf)
+
+    def test_prime_power_tables(self):
+        spf = build_spf_sieve(SQUARE_DIVISOR_CAP).spf
+        pk, e = arith._spf_prime_powers(spf)
+        assert pk.dtype == np.int32 and e.dtype == np.int8
+        assert len(pk) == len(e) == SQUARE_DIVISOR_CAP + 1
+        assert (pk[1], e[1]) == (1, 0)
+        for i in [*range(2, 10**4 + 1), *range(SQUARE_DIVISOR_CAP - 299, SQUARE_DIVISOR_CAP + 1)]:
+            p, a = factor(i, spf)[0]
+            assert (int(pk[i]), int(e[i])) == (p**a, a), i
+
+    def test_prime_power_segments(self, sieve_small):
+        spf = sieve_small.spf
+        pk, e = arith._spf_prime_powers(spf)
+        off, pb, local = arith._prime_power_segments(spf, pk, e)
+        assert off.dtype == np.int32 and pb.dtype == local.dtype == np.int64
+        assert (pb[off[1]], local[off[1]]) == (1, 1)
+        powers = [i for i in range(2, len(spf)) if len(factor(i, spf)) == 1]
+        for i in powers:
+            (p, a), = factor(i, spf)
+            seg = slice(int(off[i]), int(off[i]) + 2 * a + 1)
+            assert pb[seg].tolist() == [p**b for b in range(2 * a + 1)], i
+            assert local[seg].tolist() == [r4_star_p2b(p, b) for b in range(2 * a + 1)], i
+        # the segments tile pb and local in order of p^a
+        assert int(off[powers[-1]]) + 2 * int(e[powers[-1]]) + 1 == len(pb)
+
+    @pytest.mark.parametrize("limit", [0, 1, 3999])
+    def test_one_spf_table_per_pass(self, monkeypatch, limit):
+        limits = []
+        build = arith.build_spf_sieve
+
+        def counted(limit, *args, **kwargs):
+            limits.append(limit)
+            return build(limit, *args, **kwargs)
+
+        monkeypatch.setattr(arith, "build_spf_sieve", counted)
+        for _ in square_divisor_blocks(limit):
+            pass
+        assert limits == [max(limit, 2)]
+
+    @pytest.mark.parametrize(
+        "limit, bound_mb", [(10**4, BOUND_10K_MB), (SQUARE_DIVISOR_CAP, BOUND_CAP_MB)]
+    )
+    def test_memory_of_a_pass(self, limit, bound_mb):
+        # one whole pass, tables and blocks: a longer SQUARE_BLOCK or a wider
+        # dtype in the tables shows here
+        tracemalloc.start()
+        try:
+            for _ in square_divisor_blocks(limit):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20, peak
 
     def test_weights_at_large_prime_squares(self):
         # at n = p = 6211, r4*(p^4) = p^4 + p^3 + p^2 + p + 1 fits an int64,
         # but (p^5 - 1)/(p - 1) would pass through p^5 > 2^63
         p = 6211
-        got = dict(block_rows(p)[p])
+        got = dict(block_rows(square_divisor_blocks(p))[p])
         assert got == {1: 1, p: p * p + p + 1, p * p: p**4 + p**3 + p**2 + p + 1}
 
     def test_cap_raises_before_allocating(self, monkeypatch):

@@ -2,7 +2,6 @@
 the quartic hypersurface x^4 = (y1^2 + y2^2 + y3^2 + y4^2) z^2."""
 
 from .arith import (
-    DEFAULT_SIEVE_LIMIT,
     QTables,
     build_spf_sieve,
     primes_up_to,

@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import ResourceError
 
-DEFAULT_SIEVE_LIMIT = 10**7
-# Default caps, in bytes, of an SPF table, of a prime list and of the
-# q-tables, which take 13 bytes per q (g as int64, kappa as int32, mu as
-# int8) beside a count's own arrays.
+# The cap, in bytes, of an SPF table, of a prime list and of the q-tables
+# (13 bytes per q: g as int64, kappa as int32, mu as int8) with a count's
+# own arrays, read at each call and checked before anything is allocated.
 DEFAULT_MEMORY_BUDGET = 1 << 29
 Q_TABLE_BYTES = 13
 # The q-tables are built, and the counts reduced, Q_BLOCK q at a time, so
@@ -68,10 +67,9 @@ class SpfSieve(NamedTuple):
 class QTables:
     """The q-tables of the counts, built on first use and grown by upto."""
 
-    __slots__ = ("memory_budget", "_tables")
+    __slots__ = ("_tables",)
 
-    def __init__(self, memory_budget: int = DEFAULT_MEMORY_BUDGET):
-        self.memory_budget = memory_budget
+    def __init__(self):
         self._tables = _NO_TABLES
 
     def upto(self, n: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,19 +80,19 @@ class QTables:
         squarefree, kappa(q) = s u, so s = kappa^2 / q and u = q / kappa.
 
         A call that needs more drops the tables and sieves them afresh to
-        max(n, 2 * current) entries, within memory_budget less the spare
-        bytes the caller needs beside them, and below Q_TABLE_CAP: one set
-        of tables is held at a time, and doubling keeps the total sieving
-        below twice the final build.  Raises ResourceError when the tables
+        max(n, 2 * current) entries, within DEFAULT_MEMORY_BUDGET less the
+        spare bytes the caller needs beside them, and below Q_TABLE_CAP:
+        one set of tables is held at a time, and doubling keeps the total
+        sieving below twice the final build.  Raises ResourceError when the tables
         covering n and the spare bytes do not fit.
         """
         have = len(self._tables[0]) - 1
-        cap = min(Q_TABLE_CAP, (self.memory_budget - spare) // Q_TABLE_BYTES) - 1
+        cap = min(Q_TABLE_CAP, (DEFAULT_MEMORY_BUDGET - spare) // Q_TABLE_BYTES) - 1
         need = max(n, have)
         if need > cap:
             raise ResourceError(
                 f"q-tables up to {need} need {Q_TABLE_BYTES * (need + 1)} bytes beside "
-                f"{spare} for the count; budget is {self.memory_budget}"
+                f"{spare} for the count; budget is {DEFAULT_MEMORY_BUDGET}"
             )
         if n <= have:
             return self._tables
@@ -178,17 +176,18 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
     np.negative(mu, out=mu, where=big)
 
 
-def build_spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfSieve:
+def build_spf_sieve(limit: int) -> SpfSieve:
     """Build the smallest-prime-factor table up to limit.
 
-    Raises ResourceError when 4*(limit+1) bytes would exceed memory_budget.
+    Raises ResourceError when 4*(limit+1) bytes would exceed
+    DEFAULT_MEMORY_BUDGET.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     need = 4 * (limit + 1)
-    if need > memory_budget:
+    if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
-            f"sieve of limit {limit} needs {need} bytes, budget is {memory_budget}"
+            f"sieve of limit {limit} needs {need} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
         )
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):

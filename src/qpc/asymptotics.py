@@ -72,32 +72,22 @@ class ResiduePolynomial:
         return self.c1 * t + self.c0
 
 
-def _small_sieve(n: int) -> tuple[list[int], list[int]]:
-    """The primes up to n, and mu(r) for 0 <= r <= n (mu(0) = 0)."""
-    composite = [False] * (n + 1)
-    mu = [0] + [1] * n
-    primes = []
-    for p in range(2, n + 1):
-        if not composite[p]:
-            primes.append(p)
-            composite[p::p] = [True] * len(composite[p::p])
-            mu[p::p] = [-m for m in mu[p::p]]
-            mu[p * p :: p * p] = [0] * len(mu[p * p :: p * p])
-    return primes, mu
+# mu(r) for r <= 127 from the q-tables, taken once: prime_zeta reads all of
+# it, p_coefficients r <= _TERMS
+_MU = QTables().upto(127)[2].tolist()
 
 
 def prime_zeta(s: float) -> float:
     """P(s) = sum_p p^-s for s > 1, via sum_r mu(r)/r * log zeta(r s)."""
     if s <= 1.0:
         raise DomainError("prime_zeta requires s > 1")
-    mu = _small_sieve(127)[1]
     total = 0.0
     for r in range(1, 128):
         lz = math.log(zeta(r * s).value)
         if r > 1 and abs(lz) < 1e-19:
             break
-        if mu[r]:
-            total += mu[r] / r * lz
+        if _MU[r]:
+            total += _MU[r] / r * lz
     return total
 
 
@@ -142,6 +132,7 @@ _TERMS = 10
 # allowance for float rounding, per term, relative to the term's size
 _ROUND = 32 * 2.0**-53
 _EULER_GAMMA = 0.5772156649015329
+_PRIMES = primes_up_to(_EXPLICIT).tolist()
 
 
 def _log_zeta_tail(sigma: int, primes: list[int]) -> tuple[float, float, float, float]:
@@ -180,7 +171,6 @@ def p_coefficients() -> ResiduePolynomial:
     allowance of _ROUND per term for float rounding.  Nothing here sieves
     or evaluates G over a prime list.
     """
-    primes, mu = _small_sieve(_EXPLICIT)
     # k C_k, an integer; and r_k from R (1 + V^2 - V^4 - V^6) = -V^2 - 2V^3 - 3V^4 - 2V^6
     kc = [(k % 2 == 0) * (-1) ** (k // 2 + 1) * 2 - (k % 4 == 0) * 4 + (k % 5 == 0) * 5
           for k in range(_TERMS + 1)]
@@ -192,7 +182,7 @@ def p_coefficients() -> ResiduePolynomial:
     # bounds: G_2(1) = 23/62 with (log G_2)'(1) = (17/46) log 2, then the odd p <= N
     log_g, dlog_g = [math.log(23.0 / 62.0)], [17.0 / 46.0 * math.log(2.0)]
     err = derr = 0.0
-    for p in primes[1:]:
+    for p in _PRIMES[1:]:
         v = 1.0 / p
         log_g.append(math.log1p(v * v) + math.log1p(-(v**4)) - math.log1p(-(v**5)))
         r = -v * v * (1 + v * (2 + v * (3 + 2 * v * v))) / ((1 - v**4) * (1 + v * v))
@@ -200,9 +190,9 @@ def p_coefficients() -> ResiduePolynomial:
     # p > N, gathered by sigma = r k: C_k mu(r)/r = k C_k mu(r)/sigma, and r_k mu(r)/2
     for sigma in range(2, _TERMS + 1):
         ks = [k for k in range(2, sigma + 1) if sigma % k == 0]
-        w = sum(kc[k] * mu[sigma // k] for k in ks) / sigma
-        dw = sum(r_coef[k] * mu[sigma // k] for k in ks) / 2
-        value, dvalue, e, de = _log_zeta_tail(sigma, primes)
+        w = sum(kc[k] * _MU[sigma // k] for k in ks) / sigma
+        dw = sum(r_coef[k] * _MU[sigma // k] for k in ks) / 2
+        value, dvalue, e, de = _log_zeta_tail(sigma, _PRIMES)
         log_g.append(w * value)
         dlog_g.append(dw * dvalue)
         err += abs(w) * e
@@ -244,8 +234,12 @@ def s_main_term(x: float, y: float, P: ResiduePolynomial) -> float:
     """
     if not (x >= 10 and x <= y <= x**3):
         raise DomainError(f"s_main_term needs 10 <= x <= y <= x^3, got ({x}, {y})")
-    psi = math.log(x) - 0.25 * math.log(y)
-    return x * y * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * RESIDUE_JACOBIAN
+    return _s_prediction(x * y, math.log(x) - 0.25 * math.log(y), P)
+
+
+def _s_prediction(xy, psi: float, P: ResiduePolynomial) -> float:
+    """x y (4 P(psi) + (3/2) P'(psi)), with the residue Jacobian."""
+    return xy * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * RESIDUE_JACOBIAN
 
 
 def t_main_term(B: float, P: ResiduePolynomial) -> float:
@@ -306,10 +300,8 @@ def convergence_table(
 
         predicted = None
         if B > 1:
-            logB = math.log(B)
             if kind == "S":
-                psi = 0.5 * logB
-                predicted = B**3 * (4.0 * (P.c1 * psi + P.c0) + 1.5 * P.c1) * RESIDUE_JACOBIAN
+                predicted = _s_prediction(B**3, 0.5 * math.log(B), P)
             elif kind == "T":
                 predicted = t_main_term(B, P)
             elif kind == "N_star":

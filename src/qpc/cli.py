@@ -61,14 +61,6 @@ def _emit_records(records, args) -> None:
         print("[" + ",".join(items) + "]")
 
 
-def _tables_for(args, needed: int) -> arith.QTables:
-    if needed > args.sieve_limit:
-        raise ResourceError(
-            f"bound {needed} exceeds configured sieve limit {args.sieve_limit}"
-        )
-    return arith.QTables()
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -78,7 +70,7 @@ def cmd_count(args) -> int:
     B = args.B
     if args.projective and args.kind != "primitive":
         raise DomainError("--projective needs --kind primitive")
-    tables = _tables_for(args, B)
+    tables = arith.QTables()
     start = time.perf_counter()
     if args.kind == "star":
         exact = counting.n_star(B, tables)
@@ -97,8 +89,12 @@ def cmd_table(args) -> int:
     if not bounds:
         _emit_records([], args)
         return EXIT_OK
-    tables = _tables_for(args, max(bounds))
-    tables.upto(max(bounds))  # one build, not one per doubling of the bound
+    top = max(bounds)
+    # one build, not one per doubling of the bound, refused before it is
+    # made when N_U's arrays would not fit beside it
+    spare = counting.N_U_BYTES * (top + 1) if args.kind == "N_u" else 0
+    tables = arith.QTables()
+    tables.upto(top, spare)
     poly = asymptotics.p_coefficients()
     records = asymptotics.convergence_table(
         args.kind, bounds, tables, poly, args.variant
@@ -295,8 +291,6 @@ def _add_record_flags(parser: _Parser) -> None:
         action="store_true",
         help="zero the seconds column for byte-reproducible output",
     )
-    parser.add_argument("--sieve-limit", type=_int_at_least(2),
-                        default=arith.DEFAULT_SIEVE_LIMIT)
     parser.add_argument("--threads", type=_int_at_least(0), default=0, help=_THREADS_HELP)
 
 

@@ -76,12 +76,12 @@ def _em_terms(s: float, N: int, K: int) -> tuple[list[float], float]:
     return terms, omitted
 
 
-def zeta(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
+def zeta(s: float) -> ZetaValue:
     """Riemann zeta on the real axis s > 1 by Euler-Maclaurin summation.
 
     The error bound combines the first omitted correction term with a
     float-rounding allowance; the cutoff grows until the truncation part
-    meets the tolerance.  Near s = 1 the rounding floor scales with the
+    meets ZETA_TOLERANCE.  Near s = 1 the rounding floor scales with the
     value (which blows up), so an absolute tolerance may be unreachable;
     the achievable bound is reported rather than failing.
     """
@@ -93,7 +93,7 @@ def zeta(s: float, tolerance: float = ZETA_TOLERANCE) -> ZetaValue:
         pole = N ** (1.0 - s) / (s - 1.0)
         half = 0.5 * N ** (-s)
         terms, omitted = _em_terms(s, N, _EM_K)
-        if omitted <= tolerance or N >= 1024:
+        if omitted <= ZETA_TOLERANCE or N >= 1024:
             break
         N *= 2
     tail = 0.0

@@ -40,9 +40,10 @@ class TestSieve:
         for n in range(2, 2001):
             assert int(s.spf[n]) == trial_division_spf(n)
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", 1000)
         with pytest.raises(ResourceError):
-            build_spf_sieve(10**6, memory_budget=1000)
+            build_spf_sieve(10**6)
 
     def test_limit_too_small(self):
         with pytest.raises(ValueError):
@@ -110,22 +111,24 @@ class TestQTables:
             for a, b in zip(tables, largest):
                 assert np.array_equal(a, b[: n + 1]), n
 
-    def test_growth_stops_at_the_budget(self):
-        tables = QTables(memory_budget=Q_TABLE_BYTES * 1001)
+    def test_growth_stops_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * 1001)
+        tables = QTables()
         assert len(tables.upto(600)[0]) == 601
         assert len(tables.upto(601)[0]) == 1001  # not 1200
         with pytest.raises(ResourceError):
             tables.upto(1001)
 
-    def test_growth_holds_one_set_of_tables(self):
+    def test_growth_holds_one_set_of_tables(self, monkeypatch):
         # growing drops the old tables before it sieves the new ones, so the
         # traced peak stays within the budget plus the temporaries of one
         # block; holding both sets would add Q_TABLE_BYTES * n more
         n = 3 * 10**5
         budget = Q_TABLE_BYTES * (2 * n + 1)
+        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", budget)
         tracemalloc.start()
         try:
-            tables = QTables(memory_budget=budget)
+            tables = QTables()
             tables.upto(n)
             tracemalloc.reset_peak()
             assert len(tables.upto(n + 1)[0]) == 2 * n + 1

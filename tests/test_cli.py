@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import xw_rows
-from qpc import QTables, TruncSeries, arith, cli, counting, dirichlet
+from qpc import TruncSeries, arith, cli, counting, dirichlet
 
 QPC = [sys.executable, "-m", "qpc.cli"]
 
@@ -67,7 +67,8 @@ class TestCount:
         ]
 
     def test_resource_exit_2(self):
-        res = run_cli("count", "--kind", "star", "--B", "50", "--sieve-limit", "10")
+        # past the q-table budget: refused before anything is allocated
+        res = run_cli("count", "--kind", "star", "--B", "1000000000")
         assert res.returncode == 2
 
     def test_invalid_args_exit_1(self):
@@ -230,6 +231,8 @@ class TestFlags:
             ("constant", ["--no-timing"]),
             ("constant", ["--threads", "1"]),
             ("table", ["--prime-limit", "5000"]),
+            ("count", ["--sieve-limit", "100"]),
+            ("table", ["--sieve-limit", "100"]),
         ],
     )
     def test_flag_the_command_does_not_read_exit_1(self, command, flag, capsys):
@@ -248,14 +251,14 @@ class TestFlags:
             ("count", ["--projective"]),
             ("count", ["--format", "json"]),
             ("count", ["--no-timing"]),
-            ("count", ["--sieve-limit", "100"]),
+            ("count", ["--B", "1000000000"]),  # no flag caps the bound
             ("count", ["--threads", "2"]),
             ("table", ["--kind", "S"]),
             ("table", ["--bounds", "10,20"]),
             ("table", ["--variant", "paper"]),
             ("table", ["--format", "json"]),
             ("table", ["--no-timing"]),
-            ("table", ["--sieve-limit", "100"]),
+            ("table", ["--bounds", "10,20000000"]),
             ("table", ["--bounds", ""]),
             ("table", ["--threads", "2"]),
             ("verify", ["--suite", "local"]),
@@ -274,11 +277,11 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("table", "--kind", "T", "--bounds", "10", "--sieve-limit", "1"),
+            ("table", "--kind", "T", "--bounds", "10,x"),
             ("table", "--kind", "T", "--bounds", "10,-5"),
             ("table", "--kind", "T", "--bounds", "100,10"),
             ("count", "--kind", "star", "--B", "-1"),
-            ("count", "--kind", "star", "--B", "3", "--sieve-limit", "1"),
+            ("count", "--kind", "star", "--B", "3", "--threads", "-1"),
             ("constant", "--prime-limit", "1"),
             ("verify", "--suite", "formal", "--threads", "-1"),
             ("verify", "--suite", "global", "--tolerance", "inf"),
@@ -303,7 +306,7 @@ class TestFlags:
         }
         parsed = _parser_flags()
         assert documented == parsed
-        assert sum(len(flags) for flags in parsed.values()) == 19
+        assert sum(len(flags) for flags in parsed.values()) == 17
 
 
 class TestGolden:
@@ -512,16 +515,30 @@ class TestVerifySuitesEndToEnd:
     def test_table_budget_exit_2(self, monkeypatch, capsys):
         # a budget with room for the q-tables of N*(5000) but not for the
         # working arrays N_U(5000) needs beside them
-        budget = arith.Q_TABLE_BYTES * 5001
-        monkeypatch.setattr(arith, "QTables", lambda: QTables(memory_budget=budget))
+        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", arith.Q_TABLE_BYTES * 5001)
+        tops = []
+        plan = arith._prime_plan
+
+        def counted(n):
+            tops.append(n)
+            return plan(n)
+
+        monkeypatch.setattr(arith, "_prime_plan", counted)
         assert cli.main(["count", "--kind", "star", "--B", "5001"]) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == "" and "q-tables" in captured.err
         assert cli.main(["count", "--kind", "star", "--B", "5000", "--no-timing"]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[1] == "star,5000,3778310313216,,,0"
+        assert tops == [5000]
         assert cli.main(["count", "--kind", "primitive", "--B", "5000"]) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == "" and "q-tables" in captured.err
+        # table refuses N_U's bounds before it builds the tables
+        argv = ["table", "--kind", "N_u", "--bounds", "10,5000"]
+        assert cli.main(argv) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "q-tables" in captured.err
+        assert tops == [5000]
 
     @pytest.mark.parametrize("argv, top", [
         (["table", "--kind", "T", "--bounds", "10,100,9170", "--no-timing"], 9170),

@@ -20,7 +20,7 @@ from qpc import (
     t_exact,
     telescoping_check,
 )
-from qpc import counting
+from qpc import arith, counting
 from qpc.arith import Q_BLOCK, Q_TABLE_BYTES
 from qpc.counting import PartitionWitness
 from conftest import (
@@ -660,22 +660,30 @@ def test_float_isqrt_near_squares():
     assert counting._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
 
 
-def test_table_budget(tables):
-    small = QTables(memory_budget=Q_TABLE_BYTES * 1001)
-    assert n_star(1000, small) == n_star(1000, tables)
+def test_table_budget(tables, monkeypatch):
+    # reference values first: upto checks the budget before it returns
+    # tables, and the session's may exceed the small one
+    star, s = n_star(1000, tables), s_exact(40, 10**6, tables)
+    monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * 1001)
+    small = QTables()
+    assert n_star(1000, small) == star
     with pytest.raises(ResourceError):
         s_exact(1000, 10**8, small)  # needs q up to 10^4
     with pytest.raises(ResourceError):
         s_exact(40, 10**12, small)  # needs q up to 40^2 = 1600
-    assert s_exact(40, 10**6, small) == s_exact(40, 10**6, tables)
+    assert s_exact(40, 10**6, small) == s
 
 
-def test_n_u_charges_its_arrays_to_the_table_budget(tables):
+def test_n_u_charges_its_arrays_to_the_table_budget(tables, monkeypatch):
     # room for the q-tables of N*(B) but not for the arrays of N_U(B)
     B = 5000
-    small = QTables(memory_budget=Q_TABLE_BYTES * (B + 1) + 1000)
-    assert n_star(B, small) == n_star(B, tables)
+    star, prim = n_star(B, tables), n_u(B, tables)
+    monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * (B + 1) + 1000)
+    small = QTables()
+    assert n_star(B, small) == star
     with pytest.raises(ResourceError):
         n_u(B, small)
-    roomy = QTables(memory_budget=(Q_TABLE_BYTES + counting.N_U_BYTES) * (B + 1))
-    assert n_u(B, roomy) == n_u(B, tables)
+    budget = (Q_TABLE_BYTES + counting.N_U_BYTES) * (B + 1)
+    monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", budget)
+    roomy = QTables()
+    assert n_u(B, roomy) == prim

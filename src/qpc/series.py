@@ -133,9 +133,13 @@ class TruncSeries:
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse up to the truncation degree.
 
-        Requires a nonzero constant term, truncation enabled, and every
-        non-constant monomial of positive weighted degree (so the geometric
-        expansion terminates at max_degree).
+        Requires a nonzero constant term c0, truncation enabled, and every
+        non-constant monomial of positive weighted degree.  The inverse b of
+        a = self solves a b = 1 term by term: b_0 = 1/c0 and, for e != 0,
+        b_e = -(1/c0) sum_{t != 0} a_t b_(e-t).  The b_e are finished in
+        ascending weighted degree, and each finished b_e is pushed at once,
+        as a_t b_e, into the sum of every e + t within the truncation, so
+        no series product is taken.
         """
         if self.max_degree is None:
             raise ValueError("inverse is only defined for truncated series")
@@ -143,21 +147,35 @@ class TruncSeries:
         c0 = self.coeffs.get(zero, 0)
         if not c0:
             raise ZeroDivisionError("series has zero constant term")
-        for exps in self.coeffs:
-            if exps != zero and sum(w * e for w, e in zip(self.weights, exps)) < 1:
-                raise ValueError("non-constant term of weighted degree 0; inverse diverges")
+        w, add = self.weights, operator.add
+        terms = []
+        for exps, c in self.coeffs.items():
+            if exps != zero:
+                degree = sum(map(operator.mul, w, exps))
+                if degree < 1:
+                    raise ValueError("non-constant term of weighted degree 0; inverse diverges")
+                terms.append((degree, exps, c))
+        terms.sort(key=operator.itemgetter(0))
         inv_c0 = Fraction(1, c0) if not (c0 == 1 or c0 == -1) else (1 if c0 == 1 else -1)
-        # u = 1 - self/c0, inverse = (1/c0) * sum_k u^k
-        u = -(self * inv_c0)
-        u.coeffs.pop(zero, None)
-        out = TruncSeries.constant(1, self.nvars, self.max_degree, self.weights)
-        term = TruncSeries.constant(1, self.nvars, self.max_degree, self.weights)
-        for _ in range(self.max_degree):
-            term = term * u
-            if not term.coeffs:
-                break
-            out = out + term
-        return out * inv_c0
+        out = self._like()
+        top = self.max_degree
+        # pending[d][e] = sum_t a_t b_(e-t) so far, for e of weighted degree
+        # d; -1 at e = 0 gives b_0 = 1/c0
+        pending = {0: {zero: -1}}
+        while pending:
+            d = min(pending)
+            for e, acc in pending.pop(d).items():
+                if not acc:
+                    continue
+                b = -acc * inv_c0
+                out.coeffs[e] = b
+                for degree, exps, c in terms:
+                    if d + degree > top:
+                        break
+                    sums = pending.setdefault(d + degree, {})
+                    e2 = tuple(map(add, e, exps))
+                    sums[e2] = sums.get(e2, 0) + c * b
+        return out
 
     # -- queries ---------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,25 @@ def set_zero(f, var):
     """f with 0 put for one variable: the terms free of it."""
     return TruncSeries(f.nvars, {e: c for e, c in f.coeffs.items() if not e[var]},
                        f.max_degree, f.weights)
+
+
+def geometric_inverse(f):
+    """1/f for a truncated series f with a unit constant term c0, as the sum
+    (1/c0) sum_k u^k, u = 1 - f/c0, by up to max_degree series products:
+    the oracle of TruncSeries.inverse, whose recurrence takes no product."""
+    zero = (0,) * f.nvars
+    c0 = f.coeffs[zero]
+    inv_c0 = Fraction(1, c0) if not (c0 == 1 or c0 == -1) else (1 if c0 == 1 else -1)
+    u = -(f * inv_c0)
+    u.coeffs.pop(zero, None)
+    out = TruncSeries.constant(1, f.nvars, f.max_degree, f.weights)
+    term = TruncSeries.constant(1, f.nvars, f.max_degree, f.weights)
+    for _ in range(f.max_degree):
+        term = term * u
+        if not term.coeffs:
+            break
+        out = out + term
+    return out * inv_c0
 
 
 def divisors_from_factors(factors):

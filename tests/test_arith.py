@@ -8,7 +8,14 @@ import pytest
 
 from qpc import QTables, ResourceError, build_spf_sieve, primes_up_to, square_divisor_blocks
 from qpc import arith
-from qpc.arith import Q_BLOCK, Q_TABLE_BYTES, SQUARE_BLOCK, SQUARE_DIVISOR_CAP, r4_star_p2b
+from qpc.arith import (
+    Q_BLOCK,
+    Q_TABLE_BLOCK,
+    Q_TABLE_BYTES,
+    SQUARE_BLOCK,
+    SQUARE_DIVISOR_CAP,
+    r4_star_p2b,
+)
 from conftest import (
     divisors_from_factors,
     factor,
@@ -87,11 +94,24 @@ class TestQTables:
             # the squarefree part of q is kappa^2 / q
             assert kappa * kappa // q == math.prod(p for p, a in fac if a % 2), q
 
-    @pytest.mark.parametrize("top", [2 * Q_BLOCK, 3 * Q_BLOCK + 5, 131**2 - 1, 131**2 + 1])
+    @pytest.mark.parametrize(
+        "top",
+        [
+            2 * Q_BLOCK,
+            3 * Q_BLOCK + 5,
+            131**2 - 1,
+            131**2 + 1,
+            2 * Q_TABLE_BLOCK,
+            3 * Q_TABLE_BLOCK + 5,
+        ],
+    )
     def test_block_edges_and_table_end(self, sieve_big, top):
-        # a fresh build sieves 1..top in blocks starting at 1 + m * Q_BLOCK;
-        # 131^2 + 1 puts the square of the largest sieving prime in a short
-        # last block, and 131^2 - 1 leaves 131 out of the plan
+        # a fresh build sieves 1..top in blocks starting at 1 + m *
+        # Q_TABLE_BLOCK and takes each block's cofactor step in sub-slices
+        # starting at 1 + m * Q_BLOCK, which include the block edges; 131^2
+        # + 1 puts the square of the largest sieving prime in a short last
+        # sub-slice, and 131^2 - 1 leaves 131 out of the plan
+        assert Q_TABLE_BLOCK % Q_BLOCK == 0
         g, k, mu = QTables().upto(top)
         assert len(g) == top + 1
         window = set(range(max(1, top - 40), top + 1))

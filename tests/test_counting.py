@@ -660,6 +660,13 @@ def test_float_isqrt_near_squares():
     assert counting._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
 
 
+def test_float_isqrt_refuses_2_to_the_53():
+    # a check, not an assert, so python -O keeps it
+    counting._isqrt(np.array([2**53 - 1]))
+    with pytest.raises(ArithmeticError):
+        counting._isqrt(np.array([2**53]))
+
+
 def test_table_budget(tables, monkeypatch):
     # reference values first: upto checks the budget before it returns
     # tables, and the session's may exceed the small one

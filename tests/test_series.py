@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpc import RationalFunction, TruncSeries
-from conftest import set_zero
+from conftest import geometric_inverse, set_zero
 
 
 def random_series(rng, nvars=2, max_degree=8, weights=None, unit=False):
@@ -85,6 +85,28 @@ def test_inverse_roundtrip_random():
     for _ in range(30):
         a = random_series(rng, unit=True)
         assert a * a.inverse() == one
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 1), (1, 2), (1, 0), (1, 1, 1)])
+def test_inverse_matches_the_geometric_expansion(weights):
+    rng = random.Random(f"inverse {weights}")
+    nvars = len(weights)
+    for _ in range(75):
+        max_degree = rng.randint(0, 9)
+        coeffs = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 4) for _ in weights)
+            c = rng.randint(-9, 9)
+            coeffs[exps] = Fraction(c, rng.randint(1, 7)) if rng.random() < 0.5 else c
+        # every non-constant term of positive weighted degree, as inverse needs
+        coeffs = {e: c for e, c in coeffs.items() if sum(map(operator.mul, weights, e)) >= 1}
+        c0 = rng.choice([1, -1, 2, 3, -5])
+        coeffs[(0,) * nvars] = Fraction(c0, rng.choice([1, 1, 4])) if rng.random() < 0.5 else c0
+        f = TruncSeries(nvars, coeffs, max_degree, weights)
+        got, want = f.inverse(), geometric_inverse(f)
+        assert got.coeffs == want.coeffs
+        assert all(got.coeffs.values())
+        assert (got.nvars, got.max_degree, got.weights) == (nvars, max_degree, weights)
 
 
 def test_set_zero():

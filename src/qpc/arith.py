@@ -37,9 +37,9 @@ Q_TABLE_BYTES = 13
 # Q_TABLE_BLOCK q at a time: a block costs one Python step per prime power,
 # which a long block spreads.  Its one block-long temporary is u as int16
 # (512 KiB), and its cofactor step walks it Q_BLOCK q at a time, so the
-# build's temporaries stay under 1 MiB (tracemalloc: 0.85 MiB at 10^7, 0.92
-# at the budget's largest tables), and at 10^7 it takes a third of the time
-# of a build in 2^14-long blocks.
+# build's temporaries stay under 1 MiB (tracemalloc peak less the tables:
+# 0.93 MiB at 10^7, 0.98 at the budget's largest tables).  On 2 vCPUs a
+# build to 10^7 takes 0.39-0.51 s in process, and 1.6 s in 2^14-long blocks.
 Q_BLOCK = 1 << 14
 Q_TABLE_BLOCK = 1 << 18
 # Below this cap g(q) = r4*(q^2) <= sigma(q^2) < 7 q^2 < 2^55 fits an int64
@@ -149,12 +149,17 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
     cofactor P = q // (kappa * u) left is 1 or a single odd prime above
     isqrt(hi - 1), which multiplies g by r4*(P^2) = P^2 + P + 1 and kappa
     by P and flips the sign of mu; this step walks the block Q_BLOCK q at
-    a time, in place.
+    a time, in place.  It has no mask: with [P > 1] as 0 or 1, g is
+    multiplied by t = (P^2 + P) [P > 1] + 1, kappa by P and mu by 1 - 2 [P >
+    1], and where P = 1 the three factors are exactly 1, 1 and +1.  (On
+    the cofactor mask at 10^5, where= loops take 9-11 ns per element and
+    the plain loops 0.5 or less.)
 
     Overflow: g divides before it multiplies, so every intermediate is at
     most the final r4*(q^2) < 7 q^2 < 2^55 (see Q_TABLE_CAP); kappa, kappa
     * u and P are at most q < 2^26 and fit int32; u^2 divides q, so u <=
-    isqrt(q) < 2^13 fits int16; P^2 + P + 1 < 2^53 in int64.
+    isqrt(q) < 2^13 fits int16; t = (P^2 + P) [P > 1] + 1 <= P^2 + P + 1 <
+    2^53 in int64, and the sign 1 - 2 [P > 1] is +1 or -1 in int8.
     """
     u = np.ones(len(g), dtype=np.int16)
     for out in (g, k, mu):
@@ -184,16 +189,20 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
         big = P > 1
         t = P + np.int64(1)
         t *= P
+        t *= big
         t += 1
-        np.multiply(g[sub], t, out=g[sub], where=big)
+        g[sub] *= t
         k[sub] *= P
-        np.negative(mu[sub], out=mu[sub], where=big)
+        mu[sub] *= 1 - 2 * big.view(np.int8)
         del P, big, t  # before the next sub-slice allocates its own
 
 
 def build_spf_sieve(limit: int) -> SpfSieve:
     """Build the smallest-prime-factor table up to limit.
 
+    Each prime p <= isqrt(limit), largest first, stores p at every multiple
+    from p^2 on, with no mask: the smallest prime of a composite i, which is
+    at most isqrt(i), writes it last, and a prime keeps i from the arange.
     Raises ResourceError when 4*(limit+1) bytes would exceed
     DEFAULT_MEMORY_BUDGET.
     """
@@ -204,13 +213,9 @@ def build_spf_sieve(limit: int) -> SpfSieve:
         raise ResourceError(
             f"sieve of limit {limit} needs {need} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
         )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest.astype(np.uint32)
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     spf[1] = 1
     spf.setflags(write=False)
     return SpfSieve(limit, spf)

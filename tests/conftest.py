@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpc import QTables, TruncSeries, build_spf_sieve
@@ -41,6 +42,56 @@ def factor(n, spf):
             a += 1
         out.append((p, a))
     return out
+
+
+def masked_spf_sieve(limit):
+    """The SPF table of 0..limit (uint32, entry 1 is 1) by a masked store
+    per prime: each p <= isqrt(limit), taken ascending, writes itself only
+    where no smaller prime has: the oracle of arith.build_spf_sieve, which
+    stores unconditionally in descending order instead."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    rest = np.nonzero(spf[2:] == 0)[0] + 2
+    spf[rest] = rest
+    spf[1] = 1
+    return spf
+
+
+def q_tables_by_factoring(spf):
+    """(g, kappa, mu) for every 0 <= q < len(spf), as int64, int32 and int8
+    arrays with entry 0 zero: each q is factored through the SPF table, one
+    distinct prime per pass and its exponent by repeated division, with no
+    strided sieve: the whole-table oracle of arith.QTables.upto.  Below
+    2^20 every p^(2a+1) <= q^3 fits an int64."""
+    n = len(spf)
+    assert n <= 1 << 20
+    rest = np.arange(n, dtype=np.int64)
+    rest[0] = 1
+    g = np.ones(n, dtype=np.int64)
+    k = np.ones(n, dtype=np.int64)
+    mu = np.ones(n, dtype=np.int64)
+    live = np.flatnonzero(rest > 1)
+    while len(live):
+        p = spf[rest[live]].astype(np.int64)
+        a = np.zeros(len(live), dtype=np.int64)
+        pa = np.ones(len(live), dtype=np.int64)
+        more = np.ones(len(live), dtype=bool)
+        while more.any():
+            a += more
+            pa[more] *= p[more]
+            rest[live[more]] //= p[more]
+            more = rest[live] % p == 0
+        sigma = (pa * pa * p - 1) // (p - 1)
+        g[live] *= np.where(p == 2, 3, sigma)
+        k[live] *= p ** ((a + 1) // 2)
+        mu[live] *= np.where(a == 1, -1, 0)
+        live = live[rest[live] > 1]
+    for table in (g, k, mu):
+        table[0] = 0
+    return g, k.astype(np.int32), mu.astype(np.int8)
 
 
 def r4_star(factors):

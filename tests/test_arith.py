@@ -19,7 +19,9 @@ from qpc.arith import (
 from conftest import (
     divisors_from_factors,
     factor,
+    masked_spf_sieve,
     mobius,
+    q_tables_by_factoring,
     r4_star,
     r4_star_divisor_oracle,
     square_divisor_weights,
@@ -46,6 +48,17 @@ class TestSieve:
         s = build_spf_sieve(2000)
         for n in range(2, 2001):
             assert int(s.spf[n]) == trial_division_spf(n)
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 3938, 1 << 15, 10**6])
+    def test_matches_the_masked_sieve(self, limit):
+        # the stores of every prime p <= isqrt(limit), largest first, leave
+        # each multiple of p from p^2 on holding its smallest prime
+        s = build_spf_sieve(limit)
+        want = masked_spf_sieve(limit)
+        assert s.limit == limit and s.spf.dtype == want.dtype
+        assert np.array_equal(s.spf, want)
+        assert int(s.spf[1]) == 1
+        assert not s.spf.flags.writeable
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", 1000)
@@ -119,6 +132,17 @@ class TestQTables:
             window.update(range(edge - 40, min(edge + 40, top + 1)))
         for q in sorted(window):
             assert (int(g[q]), int(k[q]), int(mu[q])) == q_table_row(q, sieve_big.spf), q
+
+    def test_every_entry_past_one_build_block(self, sieve_big):
+        # every q <= top, in every cofactor sub-slice of every build block,
+        # against factoring it; the cofactor is a prime above isqrt(top) =
+        # 886 for most q, so both values of each branch-free factor occur
+        top = 3 * Q_TABLE_BLOCK + 5
+        got = QTables().upto(top)
+        want = q_tables_by_factoring(sieve_big.spf[: top + 1])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
     def test_every_size_agrees_with_the_largest(self):
         # a fresh build to each n <= 300 sieves with the primes up to

@@ -14,8 +14,9 @@ part of q is kappa(q)^2 / q.  A caller that knows its largest bound asks
 for it first, so each qpc command sieves its tables once.  The n-ordered
 oracle square_divisor_blocks factors n through a smallest-prime-factor
 (SPF) table instead, with p^a and a for the smallest prime of each n
-beside it and the factors p^b and r4*(p^(2b)) built once per prime power
-p^a, and primes_up_to lists the primes of the Euler products.
+filled in the same strided loop, and the factors p^b and r4*(p^(2b)) built
+once per prime power p^a; primes_up_to lists the primes of the Euler
+products.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceError
 
-# The cap, in bytes, of an SPF table, of a prime list and of the q-tables
+# The cap, in bytes, of the SPF tables, of a prime list and of the q-tables
 # (13 bytes per q: g as int64, kappa as int32, mu as int8) with a count's
 # own arrays, read at each call and checked before anything is allocated.
 DEFAULT_MEMORY_BUDGET = 1 << 29
@@ -59,16 +60,19 @@ _NO_TABLES = tuple(np.broadcast_to(dtype(0), 1) for dtype in (np.int64, np.int32
 
 
 class SpfSieve(NamedTuple):
-    """Smallest-prime-factor table covering 2..limit, through which
-    square_divisor_blocks factors n.
+    """The smallest prime of each i <= limit, with its power and exponent,
+    through which square_divisor_blocks factors n.
 
-    spf is a read-only uint32 numpy array of length limit+1 with spf[i] the
-    smallest prime factor of i for 2 <= i <= limit (spf[p] == p exactly for
-    primes) and spf[1] == 1.
+    Three read-only numpy arrays of length limit+1: for 2 <= i <= limit,
+    spf[i] (uint32) is the smallest prime p of i (spf[p] == p for primes),
+    and pk[i] = p^a (int32) and e[i] = a (int8) for p^a || i.  Entry 1 holds
+    1, 1, 0 and entry 0 holds 0, 1, 0.
     """
 
     limit: int
     spf: np.ndarray
+    pk: np.ndarray
+    e: np.ndarray
 
 
 class QTables:
@@ -198,27 +202,38 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
 
 
 def build_spf_sieve(limit: int) -> SpfSieve:
-    """Build the smallest-prime-factor table up to limit.
+    """Build the SPF, p^a and a tables up to limit in one strided loop.
 
     Each prime p <= isqrt(limit), largest first, stores p at every multiple
-    from p^2 on, with no mask: the smallest prime of a composite i, which is
-    at most isqrt(i), writes it last, and a prime keeps i from the arange.
-    Raises ResourceError when 4*(limit+1) bytes would exceed
-    DEFAULT_MEMORY_BUDGET.
+    from p^2 on, then p^a and a at every multiple of p^a for a = 1, 2, ...
+    while p^a <= limit, with no mask: the smallest prime of a composite i,
+    which is at most isqrt(i), writes last, and among its stores the highest
+    power dividing i writes last.  A prime above isqrt(limit) keeps i, i and
+    1 from the first fill.  Raises ResourceError when the 9*(limit+1) bytes
+    of the three tables would exceed DEFAULT_MEMORY_BUDGET.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    need = 4 * (limit + 1)
+    need = 9 * (limit + 1)
     if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
             f"sieve of limit {limit} needs {need} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
         )
     spf = np.arange(limit + 1, dtype=np.uint32)
+    pk = np.arange(limit + 1, dtype=np.int32)
+    e = np.ones(limit + 1, dtype=np.int8)
     for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
         spf[p * p :: p] = p
-    spf[1] = 1
-    spf.setflags(write=False)
-    return SpfSieve(limit, spf)
+        pa, a = p, 1
+        while pa <= limit:
+            pk[pa::pa] = pa
+            e[pa::pa] = a
+            pa, a = pa * p, a + 1
+    spf[1] = pk[0] = 1
+    e[:2] = 0
+    for table in (spf, pk, e):
+        table.setflags(write=False)
+    return SpfSieve(limit, spf, pk, e)
 
 
 def r4_star_p2b(p: int, b: int) -> int:
@@ -229,32 +244,11 @@ def r4_star_p2b(p: int, b: int) -> int:
     return (p ** (2 * b + 1) - 1) // (p - 1)
 
 
-def _spf_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pk, e) beside an SPF table: pk[i] = p^a (int32) and e[i] = a (int8)
-    for p = spf(i) and p^a || i, with pk[1] = 1 and e[1] = 0, for tables
-    up to 2^31.  m = i // spf(i) < i, so each doubling range [2^k, 2^(k+1))
-    is filled from the entries below it: p^a || i is p times p^(a-1) || m
-    when spf(m) = p, and p alone otherwise.
-    """
-    pk = np.ones(len(spf), dtype=np.int32)
-    e = np.zeros(len(spf), dtype=np.int8)
-    lo = 2
-    while lo < len(spf):
-        i = np.arange(lo, min(2 * lo, len(spf)))
-        p = spf[i]
-        m = i // p
-        same = spf[m] == p
-        pk[i] = np.where(same, pk[m], 1) * p
-        e[i] = np.where(same, e[m], 0) + 1
-        lo *= 2
-    return pk, e
-
-
 def _prime_power_segments(spf: np.ndarray, pk: np.ndarray, e: np.ndarray):
-    """(off, pb, local) for the prime powers p^a of an SPF table and its
-    _spf_prime_powers: the segment of p^a, at off[p^a] in pb and local, holds
-    p^b and r4*(p^(2b)) for b = 0..2a, int64, and that of 1 holds 1 and 1.
-    off is int32, zero off the prime powers.
+    """(off, pb, local) for the prime powers p^a of the tables of an
+    SpfSieve: the segment of p^a, at off[p^a] in pb and local, holds p^b and
+    r4*(p^(2b)) for b = 0..2a, int64, and that of 1 holds 1 and 1.  off is
+    int32, zero off the prime powers.
     """
     pp = np.flatnonzero(pk == np.arange(len(pk), dtype=np.int32))  # 1, p^a
     width = 2 * e[pp].astype(np.int64) + 1
@@ -274,14 +268,16 @@ def square_divisor_blocks(limit: int):
 
     q holds every divisor of n^2 and g = r4*(q^2), both int64, grouped by
     n in ascending order: counts[i] rows for n = lo + i.  Each call builds
-    one SPF table, its prime powers (_spf_prime_powers) and, once for each
-    prime power p^a <= limit, a segment of p^b and r4*(p^(2b)), b = 0..2a
-    (_prime_power_segments).  A block is then factored one distinct prime
-    per pass, with no exponent loop: p^a = pk(rest), a = e(rest), rest //=
-    p^a.  Each row of n is repeated 2a + 1 times (once, b = 0, where rest
-    = 1) and multiplied by the entries of the segment of p^a, so rows run
-    over the primes ascending with the b of the largest prime fastest.
-    There are at most 6 passes below 2^15 (2*3*5*7*11*13*17 > 2^15).
+    the SPF, p^a and a tables once (build_spf_sieve, 9 bytes per n) and,
+    once for each prime power p^a <= limit, a segment of p^b and
+    r4*(p^(2b)), b = 0..2a (_prime_power_segments); it shares no table and
+    no code with the reduction over q.  A block is then factored one
+    distinct prime per pass, with no exponent loop: p^a = pk(rest), a =
+    e(rest), rest //= p^a.  Each row of n is repeated 2a + 1 times (once, b
+    = 0, where rest = 1) and multiplied by the entries of the segment of
+    p^a, so rows run over the primes ascending with the b of the largest
+    prime fastest.  There are at most 6 passes below 2^15 (2*3*5*7*11*13*17
+    > 2^15).
 
     Overflow: the segments hold p^b <= n^2 <= 2^30, (p^b)^2 <= 2^60 and
     r4*(p^(2b)) = p^(2b) + (p^(2b) - 1) // (p - 1) < 2^61, never (p^(2b+1)
@@ -296,8 +292,7 @@ def square_divisor_blocks(limit: int):
         raise ResourceError(
             f"divisors of n^2 for n up to {limit} overflow int64 past n = {SQUARE_DIVISOR_CAP}"
         )
-    spf = build_spf_sieve(max(limit, 2)).spf
-    pk, e = _spf_prime_powers(spf)
+    _, spf, pk, e = build_spf_sieve(max(limit, 2))
     off, pb, local = _prime_power_segments(spf, pk, e)
     for lo in range(1, limit + 1, SQUARE_BLOCK):
         rest = np.arange(lo, min(lo + SQUARE_BLOCK, limit + 1), dtype=np.int64)

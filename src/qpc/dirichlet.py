@@ -231,127 +231,104 @@ def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
 
 _IDENTITY_DEGREE = 40
 
+# The right sides as (numerator monomials (coef, exponents), denominator
+# binomials 1 - m by the exponents of m): identity 1 in (x, y, z), identity
+# 2 in (x, y, a), with numerator 1 + a x y^2 + (a - 1) x y^4.
+_RHS_1 = (
+    ((1, (0, 0, 0)), (1, (1, 2, 0)), (1, (1, 2, 1)), (1, (1, 2, 2)),
+     (1, (1, 4, 1)), (1, (1, 4, 2)), (1, (1, 4, 3)), (1, (2, 6, 3))),
+    ((1, 0, 0), (1, 4, 0), (1, 4, 4)),
+)
+_RHS_2 = (
+    ((1, (0, 0, 0)), (1, (1, 2, 1)), (1, (1, 4, 1)), (-1, (1, 4, 0))),
+    ((1, 0, 0), (1, 4, 0)),
+)
+
 
 def _tri(coef: int, exps: tuple[int, int, int], deg: int | None) -> TruncSeries:
     return TruncSeries.monomial(coef, exps, max_degree=deg)
 
 
+def _rf(coef: int, exps: tuple[int, int, int]) -> RationalFunction:
+    return RationalFunction.from_poly(_tri(coef, exps, None))
+
+
+def _rhs(terms, deg: int | None) -> tuple[TruncSeries, TruncSeries]:
+    """(numerator, denominator) of a right side, truncated at deg (None:
+    exact), summed and multiplied left to right."""
+    monomials, binomials = terms
+    num = _tri(*monomials[0], deg)
+    for coef, exps in monomials[1:]:
+        num = num + _tri(coef, exps, deg)
+    one = _tri(1, (0, 0, 0), deg)
+    den = one - _tri(1, binomials[0], deg)
+    for exps in binomials[1:]:
+        den = den * (one - _tri(1, exps, deg))
+    return num, den
+
+
+def _two_routes(lhs: dict, terms, closed) -> bool:
+    """Check an identity both ways: the defining sum, whose coefficients lhs
+    holds to total degree _IDENTITY_DEGREE, equals the right side expanded
+    to that degree, and closed(), the geometric-series closed form of the
+    left side, equals the right side exactly, by cross-multiplication."""
+    deg = _IDENTITY_DEGREE
+    num, den = _rhs(terms, deg)
+    if TruncSeries(3, lhs, max_degree=deg) != num * den.inverse():
+        return False
+    return closed() == RationalFunction(*_rhs(terms, None))
+
+
 def _geom_closed_lhs_1() -> RationalFunction:
     """Closed form of sum_nu x^nu sum_{mu<=2nu} y^(2mu) (1-z^(2mu+1))/(1-z)
     after summing the geometric series in nu."""
-    one = RationalFunction.from_poly(TruncSeries.constant(1, 3))
-
-    def mono(c, e):
-        return RationalFunction.from_poly(_tri(c, e, None))
-
-    inv_1mx = one / (one - mono(1, (1, 0, 0)))
-    inv_1mxy4 = one / (one - mono(1, (1, 4, 0)))
-    inv_1mxy4z4 = one / (one - mono(1, (1, 4, 4)))
-    y2 = mono(1, (0, 2, 0))
-    y2z2 = mono(1, (0, 2, 2))
-    z = mono(1, (0, 0, 1))
+    one = _rf(1, (0, 0, 0))
+    inv_1mx = one / (one - _rf(1, (1, 0, 0)))
+    inv_1mxy4 = one / (one - _rf(1, (1, 4, 0)))
+    inv_1mxy4z4 = one / (one - _rf(1, (1, 4, 4)))
+    y2 = _rf(1, (0, 2, 0))
+    y2z2 = _rf(1, (0, 2, 2))
+    z = _rf(1, (0, 0, 1))
     term1 = (inv_1mx - y2 * inv_1mxy4) / (one - y2)
     term2 = z * (inv_1mx - y2z2 * inv_1mxy4z4) / (one - y2z2)
     return (term1 - term2) / (one - z)
 
 
-def _rhs_1(deg: int | None):
-    num = (
-        _tri(1, (0, 0, 0), deg)
-        + _tri(1, (1, 2, 0), deg)
-        + _tri(1, (1, 2, 1), deg)
-        + _tri(1, (1, 2, 2), deg)
-        + _tri(1, (1, 4, 1), deg)
-        + _tri(1, (1, 4, 2), deg)
-        + _tri(1, (1, 4, 3), deg)
-        + _tri(1, (2, 6, 3), deg)
-    )
-    one = _tri(1, (0, 0, 0), deg)
-    den = (one - _tri(1, (1, 0, 0), deg)) * (one - _tri(1, (1, 4, 0), deg)) * (
-        one - _tri(1, (1, 4, 4), deg)
-    )
-    return num, den
-
-
 def formal_identity_1() -> bool:
-    """Verify the trivariate generating identity both ways:
-
-    (a) the defining sum, truncated to total degree 40, equals the closed
-        rational form expanded to the same truncation;
-    (b) the geometric-series closed form of the left side equals the right
-        side exactly, by polynomial cross-multiplication.
-    """
+    """Verify the trivariate generating identity in (x, y, z) both ways
+    (_two_routes): the truncated route at total degree 40, then the exact
+    route by cross-multiplication."""
     deg = _IDENTITY_DEGREE
-    coeffs = {}
-    for nu in range(deg + 1):
-        for mu in range(2 * nu + 1):
-            if nu + 2 * mu > deg:
-                break
-            for j in range(2 * mu + 1):
-                if nu + 2 * mu + j > deg:
-                    break
-                key = (nu, 2 * mu, j)
-                coeffs[key] = coeffs.get(key, 0) + 1
-    lhs_trunc = TruncSeries(3, coeffs, max_degree=deg)
-    num, den = _rhs_1(deg)
-    rhs_trunc = num * den.inverse()
-    if lhs_trunc != rhs_trunc:
-        return False
-
-    num_exact, den_exact = _rhs_1(None)
-    rhs_exact = RationalFunction(num_exact, den_exact)
-    return _geom_closed_lhs_1() == rhs_exact
+    coeffs = {
+        (nu, 2 * mu, j): 1
+        for nu in range(deg + 1)
+        for mu in range(min(2 * nu, (deg - nu) // 2) + 1)
+        for j in range(min(2 * mu, deg - nu - 2 * mu) + 1)
+    }
+    return _two_routes(coeffs, _RHS_1, _geom_closed_lhs_1)
 
 
 def _geom_closed_lhs_2() -> RationalFunction:
     """Closed form of 1 + sum_{nu>=1} x^nu (1 + a sum_{1<=mu<=2nu} y^(2mu))."""
-    one = RationalFunction.from_poly(TruncSeries.constant(1, 3))
-
-    def mono(c, e):
-        return RationalFunction.from_poly(_tri(c, e, None))
-
-    x = mono(1, (1, 0, 0))
-    y2 = mono(1, (0, 2, 0))
-    a = mono(1, (0, 0, 1))
-    xy4 = mono(1, (1, 4, 0))
+    one = _rf(1, (0, 0, 0))
+    x = _rf(1, (1, 0, 0))
+    y2 = _rf(1, (0, 2, 0))
+    a = _rf(1, (0, 0, 1))
     inv_1mx = one / (one - x)
     inv_1my2 = one / (one - y2)
-    inv_1mxy4 = one / (one - xy4)
-    return inv_1mx + a * x * y2 * inv_1mx * inv_1my2 - a * mono(1, (1, 6, 0)) * inv_1my2 * inv_1mxy4
-
-
-def _rhs_2(deg: int | None):
-    # variables (x, y, a); numerator 1 + a x y^2 + (a - 1) x y^4
-    num = (
-        _tri(1, (0, 0, 0), deg)
-        + _tri(1, (1, 2, 1), deg)
-        + _tri(1, (1, 4, 1), deg)
-        + _tri(-1, (1, 4, 0), deg)
-    )
-    one = _tri(1, (0, 0, 0), deg)
-    den = (one - _tri(1, (1, 0, 0), deg)) * (one - _tri(1, (1, 4, 0), deg))
-    return num, den
+    inv_1mxy4 = one / (one - _rf(1, (1, 4, 0)))
+    return inv_1mx + a * x * y2 * inv_1mx * inv_1my2 - a * _rf(1, (1, 6, 0)) * inv_1my2 * inv_1mxy4
 
 
 def formal_identity_2() -> bool:
     """Same two-route verification for the bivariate-with-parameter identity
     in the variables (x, y, a)."""
     deg = _IDENTITY_DEGREE
-    coeffs = {(0, 0, 0): 1}
+    coeffs = {(nu, 0, 0): 1 for nu in range(deg + 1)}
     for nu in range(1, deg + 1):
-        coeffs[(nu, 0, 0)] = coeffs.get((nu, 0, 0), 0) + 1
-        for mu in range(1, 2 * nu + 1):
-            if nu + 2 * mu + 1 > deg:
-                break
-            key = (nu, 2 * mu, 1)
-            coeffs[key] = coeffs.get(key, 0) + 1
-    lhs_trunc = TruncSeries(3, coeffs, max_degree=deg)
-    num, den = _rhs_2(deg)
-    if lhs_trunc != num * den.inverse():
-        return False
-
-    num_exact, den_exact = _rhs_2(None)
-    return _geom_closed_lhs_2() == RationalFunction(num_exact, den_exact)
+        for mu in range(1, min(2 * nu, (deg - nu - 1) // 2) + 1):
+            coeffs[(nu, 2 * mu, 1)] = 1
+    return _two_routes(coeffs, _RHS_2, _geom_closed_lhs_2)
 
 
 # ----------------------------------------------------------------------

@@ -52,18 +52,49 @@ class TestSieve:
     @pytest.mark.parametrize("limit", [2, 3, 4, 3938, 1 << 15, 10**6])
     def test_matches_the_masked_sieve(self, limit):
         # the stores of every prime p <= isqrt(limit), largest first, leave
-        # each multiple of p from p^2 on holding its smallest prime
+        # each multiple of p from p^2 on holding its smallest prime, and
+        # those of p^a and a at each multiple of p^a, a ascending, leave each
+        # i holding p^a || i for that same smallest prime p
         s = build_spf_sieve(limit)
         want = masked_spf_sieve(limit)
         assert s.limit == limit and s.spf.dtype == want.dtype
         assert np.array_equal(s.spf, want)
-        assert int(s.spf[1]) == 1
-        assert not s.spf.flags.writeable
+        assert s.pk.dtype == np.int32 and s.e.dtype == np.int8
+        assert len(s.pk) == len(s.e) == limit + 1
+        # entries 0 and 1 of spf, pk and e
+        assert [(int(t[0]), int(t[1])) for t in s[1:]] == [(0, 1), (1, 1), (0, 0)]
+        assert not (s.spf.flags.writeable or s.pk.flags.writeable or s.e.flags.writeable)
+        if limit <= 1 << 15:
+            sample = range(2, limit + 1)
+        else:
+            sample = [*random.Random(limit).sample(range(2, limit + 1), 2000), limit - 1, limit]
+        for i in sample:
+            p, a = factor(i, want)[0]
+            assert (int(s.pk[i]), int(s.e[i])) == (p**a, a), i
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", 1000)
         with pytest.raises(ResourceError):
             build_spf_sieve(10**6)
+
+    def test_budget_boundary(self, monkeypatch):
+        # the three tables take 4 + 4 + 1 bytes per entry, all charged
+        limit = 10**4
+        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", 9 * (limit + 1))
+        assert build_spf_sieve(limit).limit == limit
+        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", 9 * (limit + 1) - 1)
+        with pytest.raises(ResourceError):
+            build_spf_sieve(limit)
+
+    def test_memory_is_the_tables(self):
+        # strided stores only: no temporary of the tables' size
+        tracemalloc.start()
+        try:
+            s = build_spf_sieve(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (s.spf.nbytes + s.pk.nbytes + s.e.nbytes), peak
 
     def test_limit_too_small(self):
         with pytest.raises(ValueError):
@@ -437,8 +468,7 @@ class TestSquareDivisorBlocks:
         assert_rows_in_oracle_order(rows, spf)
 
     def test_prime_power_tables(self):
-        spf = build_spf_sieve(SQUARE_DIVISOR_CAP).spf
-        pk, e = arith._spf_prime_powers(spf)
+        _, spf, pk, e = build_spf_sieve(SQUARE_DIVISOR_CAP)
         assert pk.dtype == np.int32 and e.dtype == np.int8
         assert len(pk) == len(e) == SQUARE_DIVISOR_CAP + 1
         assert (pk[1], e[1]) == (1, 0)
@@ -447,8 +477,7 @@ class TestSquareDivisorBlocks:
             assert (int(pk[i]), int(e[i])) == (p**a, a), i
 
     def test_prime_power_segments(self, sieve_small):
-        spf = sieve_small.spf
-        pk, e = arith._spf_prime_powers(spf)
+        _, spf, pk, e = sieve_small
         off, pb, local = arith._prime_power_segments(spf, pk, e)
         assert off.dtype == np.int32 and pb.dtype == local.dtype == np.int64
         assert (pb[off[1]], local[off[1]]) == (1, 1)

@@ -312,6 +312,18 @@ class TestNStarByDivisors:
         assert len(curve) == 3001
         assert curve == [n_star(B, tables) for B in range(3001)]
 
+    def test_shares_no_code_with_the_reduction_over_q(self, monkeypatch):
+        # the pass is the q-ordered kernel's oracle only while it builds and
+        # reads none of the kernel's tables
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the n-ordered pass reached the q-tables")
+
+        for owner, name in ((arith, "_prime_plan"), (arith, "_q_table_block"), (QTables, "upto")):
+            monkeypatch.setattr(owner, name, forbidden)
+        for _ in arith.square_divisor_blocks(10**4):
+            pass
+        assert len(n_star_by_divisors(4000)) == 4001
+
     def test_small_limits(self):
         assert n_star_by_divisors(0) == [0]
         assert n_star_by_divisors(1) == [0, 32]

@@ -298,18 +298,18 @@ class TestFormalIdentities:
 
     def test_identity_1_specializations(self):
         # x = 0: both sides 1; y = 0: both sides 1/(1-x)
-        from qpc.dirichlet import _rhs_1
+        from qpc.dirichlet import _RHS_1, _rhs
 
-        num, den = _rhs_1(12)
+        num, den = _rhs(_RHS_1, 12)
         rhs = num * den.inverse()
         assert set_zero(rhs, 0) == TruncSeries.constant(1, 3, 12)
         geo = TruncSeries(3, {(k, 0, 0): 1 for k in range(13)}, max_degree=12)
         assert set_zero(rhs, 1) == geo
 
     def test_identity_2_specializations(self):
-        from qpc.dirichlet import _rhs_2
+        from qpc.dirichlet import _RHS_2, _rhs
 
-        num, den = _rhs_2(12)
+        num, den = _rhs(_RHS_2, 12)
         rhs = num * den.inverse()
         geo = TruncSeries(3, {(k, 0, 0): 1 for k in range(13)}, max_degree=12)
         # a = 0: numerator reduces to 1 - x y^4 and the sum collapses to sum x^nu

@@ -2,9 +2,9 @@
 the quartic hypersurface x^4 = (y1^2 + y2^2 + y3^2 + y4^2) z^2."""
 
 from .arith import (
-    QTables,
     build_spf_sieve,
     primes_up_to,
+    q_tables,
     square_divisor_blocks,
 )
 from .asymptotics import (

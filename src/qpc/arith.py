@@ -8,15 +8,14 @@ so that 8*r4*(d) counts representations of d as a sum of four squares.
 Only its values at squares enter, and on a prime power r4*(p^(2b)) is
 r4_star_p2b(p, b).  The counts read three q-indexed tables, g(q) =
 r4*(q^2), kappa(q) and the Mobius function mu(q), which one segmented
-sieve builds block by block (QTables.upto), with a few scalar updates on
-the strided multiples of each prime power in each block; the squarefree
-part of q is kappa(q)^2 / q.  A caller that knows its largest bound asks
-for it first, so each qpc command sieves its tables once.  The n-ordered
-oracle square_divisor_blocks factors n through a smallest-prime-factor
-(SPF) table instead, with p^a and a for the smallest prime of each n
-filled in the same strided loop, and the factors p^b and r4*(p^(2b)) built
-once per prime power p^a; primes_up_to lists the primes of the Euler
-products.
+sieve builds once, block by block (q_tables), with a few scalar updates
+on the strided multiples of each prime power in each block; the
+squarefree part of q is kappa(q)^2 / q.  Each qpc command builds them
+once, to its largest bound.  The n-ordered oracle square_divisor_blocks
+factors n through a smallest-prime-factor (SPF) table instead, with p^a
+and a for the smallest prime of each n filled in the same strided loop,
+and the factors p^b and r4*(p^(2b)) built once per prime power p^a;
+primes_up_to lists the primes of the Euler products.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ Q_TABLE_CAP = 1 << 26
 # its memory.
 SQUARE_DIVISOR_CAP = 1 << 15
 SQUARE_BLOCK = 256
-# The q-tables before their first build: entry 0 alone, read-only.
-_NO_TABLES = tuple(np.broadcast_to(dtype(0), 1) for dtype in (np.int64, np.int32, np.int8))
 
 
 class SpfSieve(NamedTuple):
@@ -75,54 +72,33 @@ class SpfSieve(NamedTuple):
     e: np.ndarray
 
 
-class QTables:
-    """The q-tables of the counts, built on first use and grown by upto."""
+def q_tables(top: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, k, mu) for 0 <= q <= top, as read-only arrays of length top + 1:
+    g[q] = r4*(q^2) as int64, k[q] = kappa(q) = prod p^ceil(a/2) over p^a
+    || q as int32 and mu[q] the Mobius function as int8.  Entry 0 is 0 in
+    each, so cumsum(mu) is the Mertens function.  With q = s u^2, s
+    squarefree, kappa(q) = s u, so s = kappa^2 / q and u = q / kappa.
 
-    __slots__ = ("_tables",)
-
-    def __init__(self):
-        self._tables = _NO_TABLES
-
-    def upto(self, n: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g, k, mu) covering at least 0 <= q <= n, as read-only arrays:
-        g[q] = r4*(q^2) as int64, k[q] = kappa(q) = prod p^ceil(a/2) over
-        p^a || q as int32 and mu[q] the Mobius function as int8.  Entry 0 is
-        0 in each, so cumsum(mu) is the Mertens function.  With q = s u^2, s
-        squarefree, kappa(q) = s u, so s = kappa^2 / q and u = q / kappa.
-
-        A call that needs more drops the tables and sieves them afresh to
-        max(n, 2 * current) entries, within DEFAULT_MEMORY_BUDGET less the
-        spare bytes the caller needs beside them, and below Q_TABLE_CAP:
-        one set of tables is held at a time, and doubling keeps the total
-        sieving below twice the final build.  Raises ResourceError when the tables
-        covering n and the spare bytes do not fit.
-        """
-        have = len(self._tables[0]) - 1
-        cap = min(Q_TABLE_CAP, (DEFAULT_MEMORY_BUDGET - spare) // Q_TABLE_BYTES) - 1
-        need = max(n, have)
-        if need > cap:
-            raise ResourceError(
-                f"q-tables up to {need} need {Q_TABLE_BYTES * (need + 1)} bytes beside "
-                f"{spare} for the count; budget is {DEFAULT_MEMORY_BUDGET}"
-            )
-        if n <= have:
-            return self._tables
-        top = max(n, min(2 * have, cap))
-        self._tables = _NO_TABLES
-        tables = (
-            np.empty(top + 1, dtype=np.int64),
-            np.empty(top + 1, dtype=np.int32),
-            np.empty(top + 1, dtype=np.int8),
+    The tables are sieved once, Q_TABLE_BLOCK q at a time.  Raises
+    ResourceError, before anything is allocated, when top reaches
+    Q_TABLE_CAP or the Q_TABLE_BYTES * (top + 1) bytes of the tables and the
+    spare bytes the caller needs beside them exceed DEFAULT_MEMORY_BUDGET.
+    """
+    need = Q_TABLE_BYTES * (top + 1)
+    if top >= Q_TABLE_CAP or need + spare > DEFAULT_MEMORY_BUDGET:
+        raise ResourceError(
+            f"q-tables up to {top} need {need} bytes beside "
+            f"{spare} for the count; budget is {DEFAULT_MEMORY_BUDGET}"
         )
-        plan = _prime_plan(top)
-        for lo in range(1, top + 1, Q_TABLE_BLOCK):
-            block = slice(lo, min(lo + Q_TABLE_BLOCK, top + 1))
-            _q_table_block(lo, plan, *(new[block] for new in tables))
-        for new in tables:
-            new[0] = 0
-            new.setflags(write=False)
-        self._tables = tables
-        return tables
+    tables = tuple(np.empty(top + 1, dtype=dtype) for dtype in (np.int64, np.int32, np.int8))
+    plan = _prime_plan(top)
+    for lo in range(1, top + 1, Q_TABLE_BLOCK):
+        block = slice(lo, min(lo + Q_TABLE_BLOCK, top + 1))
+        _q_table_block(lo, plan, *(table[block] for table in tables))
+    for table in tables:
+        table[0] = 0
+        table.setflags(write=False)
+    return tables
 
 
 def _prime_plan(top: int) -> list[tuple[int, int, int, int, int]]:
@@ -149,7 +125,7 @@ def _q_table_block(lo: int, plan, g: np.ndarray, k: np.ndarray, mu: np.ndarray) 
     r4*(p^(2j-2)), exactly, since that factor went in at step j - 1, and
     multiplied by r4*(p^(2j)) (for p = 2 both are 3); an odd j multiplies
     kappa by p and an even j multiplies u by p, so that kappa * u is the
-    part of q the plan sieves (u = q / kappa, as in QTables.upto).  The
+    part of q the plan sieves (u = q / kappa, as in q_tables).  The
     cofactor P = q // (kappa * u) left is 1 or a single odd prime above
     isqrt(hi - 1), which multiplies g by r4*(P^2) = P^2 + P + 1 and kappa
     by P and flips the sign of mu; this step walks the block Q_BLOCK q at

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import QTables, primes_up_to
+from .arith import primes_up_to, q_tables
 from .counting import CountRecord, n_star, n_u, s_exact, t_exact
 from .dirichlet import zeta, zeta_derivative
 from .errors import DomainError
@@ -74,7 +74,7 @@ class ResiduePolynomial:
 
 # mu(r) for r <= 127 from the q-tables, taken once: prime_zeta reads all of
 # it, p_coefficients r <= _TERMS
-_MU = QTables().upto(127)[2].tolist()
+_MU = q_tables(127)[2].tolist()
 
 
 def prime_zeta(s: float) -> float:
@@ -271,14 +271,15 @@ _TABLE_KINDS = ("S", "T", "N_star", "N_u")
 def convergence_table(
     kind: str,
     bounds,
-    tables: QTables,
+    tables: tuple,
     P: ResiduePolynomial,
     variant: str = "chain",
 ) -> list[CountRecord]:
     """One CountRecord per bound: exact count, predicted main term, ratio, timing.
 
     kind S is evaluated on the diagonal (x, y) = (B, B^2).  Bounds must be
-    ascending, and their q-tables must fit the budget of tables.
+    ascending, and tables are the (g, k, mu) of arith.q_tables up to at
+    least the largest.
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"kind must be one of {_TABLE_KINDS}")

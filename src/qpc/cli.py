@@ -70,12 +70,11 @@ def cmd_count(args) -> int:
     B = args.B
     if args.projective and args.kind != "primitive":
         raise DomainError("--projective needs --kind primitive")
-    tables = arith.QTables()
     start = time.perf_counter()
     if args.kind == "star":
-        exact = counting.n_star(B, tables)
+        exact = counting.n_star(B, arith.q_tables(B))
     else:
-        exact = counting.n_u(B, tables)
+        exact = counting.n_u(B, arith.q_tables(B, counting.N_U_BYTES * (B + 1)))
         if args.projective:
             exact //= 2
     elapsed = time.perf_counter() - start
@@ -90,11 +89,9 @@ def cmd_table(args) -> int:
         _emit_records([], args)
         return EXIT_OK
     top = max(bounds)
-    # one build, not one per doubling of the bound, refused before it is
-    # made when N_U's arrays would not fit beside it
+    # refused before it is built when N_U's arrays would not fit beside it
     spare = counting.N_U_BYTES * (top + 1) if args.kind == "N_u" else 0
-    tables = arith.QTables()
-    tables.upto(top, spare)
+    tables = arith.q_tables(top, spare)
     poly = asymptotics.p_coefficients()
     records = asymptotics.convergence_table(
         args.kind, bounds, tables, poly, args.variant
@@ -129,8 +126,7 @@ def _suite_partition(args):
 
     rng = random.Random(47)
     sample = sorted(rng.sample(range(1, 4001), 40))
-    tables = arith.QTables()
-    tables.upto(max(sample))
+    tables = arith.q_tables(max(sample))
     # one n-ordered pass gives N* at every sampled bound
     curve = counting.n_star_by_divisors(max(sample))
     checks = []
@@ -144,8 +140,7 @@ def _suite_partition(args):
     return checks
 
 def _suite_oracle(args):
-    tables = arith.QTables()
-    tables.upto(40)
+    tables = arith.q_tables(40)
     primitive = counting.brute_force_primitive_curve(40)
     checks = []
     for B in range(0, 41):
@@ -156,8 +151,7 @@ def _suite_oracle(args):
 
 def _suite_telescope(args):
     bounds = (10, 100, 1000)
-    tables = arith.QTables()
-    tables.upto(max(bounds))
+    tables = arith.q_tables(max(bounds))
     checks = []
     for B in bounds:
         try:

@@ -23,10 +23,11 @@ for M the Mertens function: the last is the Mobius sum with j innermost,
 since the pair (q, n = kappa(q) m) lies in N*(B/j) exactly when
 j <= min(B // q, B // (s m^2)), and the minimum is B // q for m <= u.
 
-Each count takes an arith.QTables, whose tables are g, kappa and mu: s and
-u are the exact quotients kappa^2 / q and q / kappa, and M is the
-cumulative sum of mu.  A count is one reduction (_q_sum) of g against a
-per-q term over the tables, block by block: the terms are int64
+Each count takes the tables g, kappa and mu of arith.q_tables, built once
+to the caller's largest bound, and raises ValueError for a bound past
+their end: s and u are the exact quotients kappa^2 / q and q / kappa, and
+M is the cumulative sum of mu.  A count is one reduction (_q_sum) of g
+against a per-q term over the tables, block by block: the terms are int64
 numpy arrays, and each block's dot product is taken in int64 only where
 an overflow bound proves it exact (_exact_dot); the block sums are added
 as Python integers.
@@ -47,7 +48,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Q_BLOCK, QTables, square_divisor_blocks
+from . import arith
+from .arith import Q_BLOCK, square_divisor_blocks
 from .errors import ResourceError
 
 BRUTE_STAR_CAP = 60
@@ -156,8 +158,16 @@ def _exact_dot(g: np.ndarray, t: np.ndarray) -> int:
     return total
 
 
-def _q_sum(tables: QTables, Q: int, term) -> int:
-    """sum_{q <= Q} g(q) * term(block, q, k), exactly.
+def _covering(tables: tuple, Q: int) -> tuple:
+    """The (g, k, mu) of arith.q_tables, after checking that they hold q = Q."""
+    if Q >= len(tables[0]):
+        raise ValueError(f"the count needs q up to {Q}; the q-tables end at {len(tables[0]) - 1}")
+    return tables
+
+
+def _q_sum(tables: tuple, Q: int, term) -> int:
+    """sum_{q <= Q} g(q) * term(block, q, k), exactly, over the (g, k, mu)
+    of arith.q_tables; ValueError when they end before Q.
 
     term maps one block of at most Q_BLOCK consecutive q, given as a slice
     and as int64 arrays of q and k = kappa(q), to an int64 array of the
@@ -165,7 +175,7 @@ def _q_sum(tables: QTables, Q: int, term) -> int:
     """
     if Q < 1:
         return 0
-    g_all, k_all, _ = tables.upto(Q)
+    g_all, k_all, _ = _covering(tables, Q)
     total = 0
     for lo in range(1, Q + 1, Q_BLOCK):
         hi = min(lo + Q_BLOCK, Q + 1)
@@ -213,7 +223,7 @@ def _floor(bound) -> int:
     raise TypeError(f"unsupported bound type {type(bound)!r}")
 
 
-def s_exact(x, y, tables: QTables) -> int:
+def s_exact(x, y, tables: tuple) -> int:
     """S(x, y): sum over n <= x, d | n^4 with d <= y and n^4/d square, of r4*(d).
 
     x and y may be ints or Fractions: S(x, y) = S(floor(x), y) as n is an
@@ -229,7 +239,7 @@ def s_exact(x, y, tables: QTables) -> int:
     return _q_sum(tables, *_s_terms(0, x, math.isqrt(max(_floor(y), 0))))
 
 
-def t_exact(B: int, tables: QTables) -> int:
+def t_exact(B: int, tables: tuple) -> int:
     """T(B): sum over n <= B, d | n^4 with d < n^4/B^2 and n^4/d square, of r4*(d).
 
     B must be an int: T at a rational bound is not T at its floor.
@@ -241,7 +251,7 @@ def t_exact(B: int, tables: QTables) -> int:
     return _q_sum(tables, *_t_terms(0, B, B))
 
 
-def n_star(bound, tables: QTables) -> int:
+def n_star(bound, tables: tuple) -> int:
     """N*(bound): integer tuples (x, y1..y4, z) on x^4 = (y1^2+..+y4^2) z^2
     with 1 <= |x| <= bound, 1 <= sum y_i^2 <= bound^2, |z| <= bound.
 
@@ -256,7 +266,7 @@ def n_star(bound, tables: QTables) -> int:
     return SIGN_FACTOR * _q_sum(tables, B, lambda block, q, k: _isqrt(_b_over_s(B, q, k)))
 
 
-def n_u(bound, tables: QTables) -> int:
+def n_u(bound, tables: tuple) -> int:
     """N_U(bound): primitive tuples (gcd of all six coordinates = 1) of height <= bound.
 
     Mobius inversion gives N_U(B) = sum_{j <= B} mu(j) N*(B/j); summed with
@@ -268,12 +278,21 @@ def n_u(bound, tables: QTables) -> int:
     the cumulative sum of their mu.  bound may be an int or a Fraction, and
     N_U(b) = N_U(floor(b)): N*(b/j) = N*(floor(b/j)) = N*(floor(floor(b)/j))
     for every j (see n_star).
-    Its working arrays take N_U_BYTES per q of the tables' memory budget.
+    Its working arrays take N_U_BYTES per q of the memory budget that the
+    tables leave; ResourceError, before they are allocated, when they do
+    not fit.
     """
     B = _floor(bound)
     if B < 1:
         return 0
-    mu = tables.upto(B, spare=N_U_BYTES * (B + 1))[2][: B + 1]
+    g, _, mu = _covering(tables, B)
+    need = N_U_BYTES * (B + 1)
+    room = arith.DEFAULT_MEMORY_BUDGET - arith.Q_TABLE_BYTES * len(g)
+    if need > room:
+        raise ResourceError(
+            f"N_U({B}) needs {need} bytes beside the q-tables; the budget leaves {room}"
+        )
+    mu = mu[: B + 1]
     # |M(x)| <= x <= B < 2^31
     mertens = np.cumsum(mu, dtype=np.intc)
     # tail[s u^2] = sum_{m>u} M(B // (s m^2)), summed downwards over m for
@@ -314,7 +333,7 @@ def n_star_by_divisors(limit: int) -> list[int]:
     return [SIGN_FACTOR * total for total in np.cumsum(bins).tolist()]
 
 
-def partition_witness(B: int, tables: QTables, curve: list[int]) -> PartitionWitness:
+def partition_witness(B: int, tables: tuple, curve: list[int]) -> PartitionWitness:
     """S(B,B^2) and T(B) from the reduction over q, N*(B) = curve[B] from
     n_star_by_divisors; constructing the witness verifies N* = 32 (S - T).
 
@@ -479,7 +498,7 @@ def _telescope_thresholds(B: int) -> tuple[int, list[int], list[int]]:
     )
 
 
-def telescoping_check(B: int, tables: QTables) -> TelescopeReport:
+def telescoping_check(B: int, tables: tuple) -> TelescopeReport:
     """Verify the geometric-shell partition and lower bound for T(B).
 
     With delta = 1 - 1/log B and k0 minimal with delta^k0 < (log B)^-3:

@@ -4,14 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpc import QTables, TruncSeries, build_spf_sieve
+from qpc import TruncSeries, build_spf_sieve, q_tables
 from qpc.dirichlet import _EM_K, _EM_N, _em_terms
 
 
 @pytest.fixture(scope="session")
 def tables():
-    """One set of q-tables for the session's counts, grown as they need."""
-    return QTables()
+    """One set of q-tables for the session's counts, built once: the
+    largest q a test reads is x^2 <= 2000^2, for S(x, y) in
+    test_kernel_matches_n_ordered_oracle."""
+    return q_tables(2000**2)
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +66,7 @@ def q_tables_by_factoring(spf):
     """(g, kappa, mu) for every 0 <= q < len(spf), as int64, int32 and int8
     arrays with entry 0 zero: each q is factored through the SPF table, one
     distinct prime per pass and its exponent by repeated division, with no
-    strided sieve: the whole-table oracle of arith.QTables.upto.  Below
+    strided sieve: the whole-table oracle of arith.q_tables.  Below
     2^20 every p^(2a+1) <= q^3 fits an int64."""
     n = len(spf)
     assert n <= 1 << 20

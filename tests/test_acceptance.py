@@ -17,7 +17,6 @@ import mpmath
 import pytest
 
 from qpc import (
-    QTables,
     brute_force_primitive_curve,
     brute_force_star,
     build_spf_sieve,
@@ -34,6 +33,7 @@ from qpc import (
     p_coefficients,
     partition_witness,
     primes_up_to,
+    q_tables,
     s_exact,
     s_main_term,
     t_exact,
@@ -79,11 +79,10 @@ def _naive_state():
     """The q-tables and the naive terms of every n <= 500, built once: the
     test body builds them before the fork, so the pool's workers inherit
     them, and reuses them for its T loop.  S(x, y) reads q <= x^2, so
-    tables to 500^2 are never grown in a worker."""
+    tables to 500^2 cover every x <= 500."""
     if not _NAIVE_STATE:
         sieve = build_spf_sieve(500)
-        _NAIVE_STATE["tables"] = QTables()
-        _NAIVE_STATE["tables"].upto(500 * 500)
+        _NAIVE_STATE["tables"] = q_tables(500 * 500)
         _NAIVE_STATE["terms"] = {n: naive_inner_terms(n, sieve) for n in range(1, 501)}
     return _NAIVE_STATE["tables"], _NAIVE_STATE["terms"]
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpc import QTables, ResourceError, build_spf_sieve, primes_up_to, square_divisor_blocks
+from qpc import ResourceError, build_spf_sieve, primes_up_to, q_tables, square_divisor_blocks
 from qpc import arith
 from qpc.arith import (
     Q_BLOCK,
@@ -116,14 +116,12 @@ def q_table_row(q, spf):
 
 
 class TestQTables:
-    def test_against_factorization_while_growing(self, sieve_small):
-        # tables grow to max(n, 2 * current): 1, 2, 4, 9, 5000, 10000
-        tables = QTables()
-        stages = []
-        for n in (1, 2, 3, 9, 5000, 5001):
-            stages.append(tables.upto(n))
+    def test_against_factorization_at_each_size(self, sieve_small):
+        # fresh builds to 1, 2, 3, 9, 5000 and 10000, each a prefix of the
+        # largest
+        stages = [q_tables(n) for n in (1, 2, 3, 9, 5000, 10**4)]
         g, k, mu = stages[-1]
-        assert [len(stage[0]) - 1 for stage in stages] == [1, 2, 4, 9, 5000, 10000]
+        assert [len(stage[0]) - 1 for stage in stages] == [1, 2, 3, 9, 5000, 10000]
         for stage in stages:
             assert [a.dtype for a in stage] == [np.int64, np.int32, np.int8]
             assert len({len(a) for a in stage}) == 1
@@ -156,7 +154,7 @@ class TestQTables:
         # + 1 puts the square of the largest sieving prime in a short last
         # sub-slice, and 131^2 - 1 leaves 131 out of the plan
         assert Q_TABLE_BLOCK % Q_BLOCK == 0
-        g, k, mu = QTables().upto(top)
+        g, k, mu = q_tables(top)
         assert len(g) == top + 1
         window = set(range(max(1, top - 40), top + 1))
         for edge in range(1 + Q_BLOCK, top + 1, Q_BLOCK):
@@ -169,7 +167,7 @@ class TestQTables:
         # against factoring it; the cofactor is a prime above isqrt(top) =
         # 886 for most q, so both values of each branch-free factor occur
         top = 3 * Q_TABLE_BLOCK + 5
-        got = QTables().upto(top)
+        got = q_tables(top)
         want = q_tables_by_factoring(sieve_big.spf[: top + 1])
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -179,38 +177,46 @@ class TestQTables:
         # a fresh build to each n <= 300 sieves with the primes up to
         # max(2, isqrt(n)) only, so its leftover cofactors differ from the
         # largest build's
-        largest = QTables().upto(300)
+        largest = q_tables(300)
         for n in range(1, 301):
-            tables = QTables().upto(n)
+            tables = q_tables(n)
             assert len(tables[0]) == n + 1
             for a, b in zip(tables, largest):
                 assert np.array_equal(a, b[: n + 1]), n
 
-    def test_growth_stops_at_the_budget(self, monkeypatch):
+    def test_build_stops_at_the_budget(self, monkeypatch):
         monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * 1001)
-        tables = QTables()
-        assert len(tables.upto(600)[0]) == 601
-        assert len(tables.upto(601)[0]) == 1001  # not 1200
-        with pytest.raises(ResourceError):
-            tables.upto(1001)
-
-    def test_growth_holds_one_set_of_tables(self, monkeypatch):
-        # growing drops the old tables before it sieves the new ones, so the
-        # traced peak stays within the budget plus the temporaries of one
-        # block; holding both sets would add Q_TABLE_BYTES * n more
-        n = 3 * 10**5
-        budget = Q_TABLE_BYTES * (2 * n + 1)
-        monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", budget)
+        assert len(q_tables(1000)[0]) == 1001
+        # refused before anything is allocated: no sieving plan, no table
+        monkeypatch.setattr(arith, "_prime_plan", None)
         tracemalloc.start()
         try:
-            tables = QTables()
-            tables.upto(n)
-            tracemalloc.reset_peak()
-            assert len(tables.upto(n + 1)[0]) == 2 * n + 1
+            with pytest.raises(ResourceError):
+                q_tables(1001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= budget + 64 * Q_BLOCK
+        assert peak < Q_TABLE_BYTES * 1001
+
+    def test_build_stops_below_the_cap(self, monkeypatch):
+        # whatever the budget, top must stay below Q_TABLE_CAP, which the
+        # overflow proofs of the build and of the counts assume
+        monkeypatch.setattr(arith, "Q_TABLE_CAP", 1000)
+        assert len(q_tables(999)[0]) == 1000
+        with pytest.raises(ResourceError):
+            q_tables(1000)
+
+    def test_build_holds_one_set_of_tables(self):
+        # the traced peak of a build is its tables plus the temporaries of
+        # one block
+        n = 3 * 10**5
+        tracemalloc.start()
+        try:
+            assert len(q_tables(n)[0]) == n + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - Q_TABLE_BYTES * (n + 1) <= 64 * Q_BLOCK
 
 
 class TestFactorize:
@@ -341,23 +347,26 @@ class TestMobius:
 
 
 class TestMobiusTable:
-    # mu is the third column of the q-tables; M is its cumulative sum
-    def test_matches_per_integer_mobius(self, sieve_small):
-        mu = QTables().upto(10**4)[2]
+    # mu is the third column of the q-tables, built once for the class; M
+    # is its cumulative sum
+    @pytest.fixture(scope="class")
+    def mu(self):
+        return q_tables(10**4)[2]
+
+    def test_matches_per_integer_mobius(self, mu, sieve_small):
         assert len(mu) == 10**4 + 1 and mu[0] == 0
         for n in range(1, 10**4 + 1):
             assert int(mu[n]) == mobius(factor(n, sieve_small.spf)), n
 
-    def test_mertens_known_values(self):
-        M = np.cumsum(QTables().upto(10**4)[2], dtype=np.intc)
+    def test_mertens_known_values(self, mu):
+        M = np.cumsum(mu, dtype=np.intc)
         assert M.itemsize == 4 and len(M) == 10**4 + 1
         assert [int(M[x]) for x in (0, 1, 10, 100, 1000, 10**4)] == [0, 1, -1, 1, 2, -23]
 
-    def test_mertens_is_cumulative_mu(self):
-        mu = QTables().upto(5000)[2]
+    def test_mertens_is_cumulative_mu(self, mu):
         M = np.cumsum(mu, dtype=np.intc)
         running = 0
-        for x in range(5001):
+        for x in range(10**4 + 1):
             running += int(mu[x])
             assert int(M[x]) == running, x
 

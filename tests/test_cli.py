@@ -426,6 +426,19 @@ class TestGolden:
             assert res.returncode == 0, args
             assert res.stdout == want, args
 
+    @pytest.mark.slow
+    def test_largest_recorded_counts(self):
+        """N*(10^7) and N_U(10^7) as recorded in CHANGES.md, one process
+        each, so their tables (314 MB peak for N_U) leave with it.
+
+        A regression pin, not an independent oracle: the q-ordered kernel
+        computed these values, and the n-ordered pass stops at 2^15."""
+        for kind, count in (("star", 52303461198040517409664),
+                            ("primitive", 43901778234890958394528)):
+            res = run_cli("count", "--kind", kind, "--B", str(10**7), "--no-timing")
+            assert res.returncode == 0, kind
+            assert res.stdout.splitlines()[1] == f"{kind},{10**7},{count},,,0"
+
     def test_reals_carry_17_significant_digits(self):
         res = run_cli(
             "table", "--kind", "T", "--bounds", "100", "--no-timing"
@@ -548,7 +561,7 @@ class TestVerifySuitesEndToEnd:
         (["verify", "--suite", "oracle"], 40),
     ])
     def test_each_command_sieves_its_q_tables_once(self, argv, top, monkeypatch, capsys):
-        # growing by doubling would sieve once per doubling of the bound
+        # one q_tables call per command, to its largest bound
         tops = []
         plan = arith._prime_plan
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qpc import (
-    QTables,
     ResourceError,
     brute_force_primitive,
     brute_force_primitive_curve,
@@ -16,6 +15,7 @@ from qpc import (
     n_star_by_divisors,
     n_u,
     partition_witness,
+    q_tables,
     s_exact,
     t_exact,
     telescoping_check,
@@ -318,8 +318,8 @@ class TestNStarByDivisors:
         def forbidden(*args, **kwargs):
             raise AssertionError("the n-ordered pass reached the q-tables")
 
-        for owner, name in ((arith, "_prime_plan"), (arith, "_q_table_block"), (QTables, "upto")):
-            monkeypatch.setattr(owner, name, forbidden)
+        for name in ("_prime_plan", "_q_table_block", "q_tables"):
+            monkeypatch.setattr(arith, name, forbidden)
         for _ in arith.square_divisor_blocks(10**4):
             pass
         assert len(n_star_by_divisors(4000)) == 4001
@@ -608,12 +608,12 @@ def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid, tables):
             "s_window": int(w[(n > a) & (n <= B) & (q <= B // 2)].sum()),
             "t_window": int(w[(n > a) & (n <= B) & (q * B < n2)].sum()),
         }
-        # fresh tables are built to exactly B, so the last table block and
-        # the last reduction block both end at B; it may hold no multiple of
-        # some p <= isqrt(B)
+        # fresh tables are built to exactly the q each sum reads (B, or B //
+        # 2 for s_window), so the last table block and the last reduction
+        # block end together; it may hold no multiple of some p <= isqrt(B)
         got = {}
         for kind in want:
-            fresh = QTables()
+            fresh = q_tables(B // 2 if kind == "s_window" else B)
             got[kind] = {
                 "n_star": lambda: n_star(B, fresh),
                 "n_u": lambda: n_u(B, fresh),
@@ -623,7 +623,7 @@ def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid, tables):
                 "t_window": lambda: t_window(fresh, a, B, B),
             }[kind]()
         assert got == want, B
-        # the same counts on tables grown past B by earlier calls
+        # the same counts on the session's tables, which run past B
         assert n_star(B, tables) == want["n_star"]
         assert t_exact(B, tables) == want["t"]
 
@@ -632,9 +632,9 @@ def test_block_edges_match_n_ordered_oracle(pair_arrays, sieve_mid, tables):
 def test_tables_below_the_first_prime_square(B):
     # for B < 4 no prime is sieved, so q = 2 is a leftover prime and must
     # take r4*(4) = 3, not 2^2 + 2 + 1
-    assert n_star(B, QTables()) == brute_force_star(B)
-    assert n_u(B, QTables()) == brute_force_primitive(B)
-    fresh = QTables()
+    fresh = q_tables(B)
+    assert n_star(B, fresh) == brute_force_star(B)
+    assert n_u(B, fresh) == brute_force_primitive(B)
     assert 32 * (s_exact(B, B * B, fresh) - t_exact(B, fresh)) == brute_force_star(B)
 
 
@@ -680,17 +680,36 @@ def test_float_isqrt_refuses_2_to_the_53():
 
 
 def test_table_budget(tables, monkeypatch):
-    # reference values first: upto checks the budget before it returns
-    # tables, and the session's may exceed the small one
+    # reference values first, on the session's tables
     star, s = n_star(1000, tables), s_exact(40, 10**6, tables)
     monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * 1001)
-    small = QTables()
+    small = q_tables(1000)
     assert n_star(1000, small) == star
     with pytest.raises(ResourceError):
+        q_tables(10**4)
+    with pytest.raises(ValueError):
         s_exact(1000, 10**8, small)  # needs q up to 10^4
     with pytest.raises(ResourceError):
+        q_tables(40**2)
+    with pytest.raises(ValueError):
         s_exact(40, 10**12, small)  # needs q up to 40^2 = 1600
     assert s_exact(40, 10**6, small) == s
+
+
+def test_counts_refuse_bounds_past_their_tables(monkeypatch):
+    # a count reads the tables it is given and never builds them: each
+    # reads q up to its bound (S(x, y) up to min(isqrt(y), x^2)), and a
+    # bound past the tables' end is refused
+    tables = q_tables(100)
+    monkeypatch.setattr(arith, "_prime_plan", None)  # a build would fail
+    star = n_star(100, tables)
+    assert star == n_star_by_divisors(100)[100]
+    assert star == 32 * (s_exact(100, 100**2, tables) - t_exact(100, tables))
+    assert n_u(100, tables) < star
+    for count, args in ((n_star, (101,)), (n_star, (Fraction(203, 2),)), (n_u, (101,)),
+                        (t_exact, (101,)), (s_exact, (11, 101**2))):
+        with pytest.raises(ValueError, match="q-tables end at 100"):
+            count(*args, tables)
 
 
 def test_n_u_charges_its_arrays_to_the_table_budget(tables, monkeypatch):
@@ -698,11 +717,11 @@ def test_n_u_charges_its_arrays_to_the_table_budget(tables, monkeypatch):
     B = 5000
     star, prim = n_star(B, tables), n_u(B, tables)
     monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * (B + 1) + 1000)
-    small = QTables()
+    small = q_tables(B)
     assert n_star(B, small) == star
     with pytest.raises(ResourceError):
         n_u(B, small)
     budget = (Q_TABLE_BYTES + counting.N_U_BYTES) * (B + 1)
     monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", budget)
-    roomy = QTables()
+    roomy = q_tables(B)
     assert n_u(B, roomy) == prim

@@ -308,6 +308,15 @@ class TestFlags:
         assert documented == parsed
         assert sum(len(flags) for flags in parsed.values()) == 17
 
+    def test_readme_states_the_budgets_reach(self):
+        # the largest N* and N_U bounds the README states are the ones the
+        # budget admits: q-tables alone, and q-tables plus N_U's arrays
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        star, prim = re.search(r"up to B = ([\d,]+) and N_U up to B = ([\d,]+);", readme).groups()
+        budget = arith.DEFAULT_MEMORY_BUDGET
+        assert int(star.replace(",", "")) == budget // arith.Q_TABLE_BYTES - 1
+        assert int(prim.replace(",", "")) == budget // (arith.Q_TABLE_BYTES + counting.N_U_BYTES) - 1
+
 
 class TestGolden:
     def test_byte_identical_across_runs_and_threads(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -528,6 +529,20 @@ def test_n_u_mertens_form_matches_mobius_sum(seed, sieve_small, tables):
         assert n_u(b, tables) == nu, b
 
 
+def test_n_u_matches_mobius_sum_over_n_ordered_curve(sieve_mid, tables):
+    # N_U(B) = sum_{j<=B} mu(j) N*(B // j), with N* from the n-ordered
+    # divisor enumeration and mu from factoring j: no q-table on this side.
+    # Every B <= 300, 40 seeded B and the curve's end, 2^15
+    top = 2**15
+    curve = n_star_by_divisors(top)
+    mu = [0] + [mobius(factor(j, sieve_mid.spf)) for j in range(1, top + 1)]
+    rng = random.Random(15)
+    bounds = [*range(301), *(rng.randint(301, top) for _ in range(40)), top]
+    for B in bounds:
+        want = sum(mu[j] * curve[B // j] for j in range(1, B + 1) if mu[j])
+        assert n_u(B, tables) == want, B
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_matches_n_ordered_oracle(seed, sieve_small, tables, divisor_terms):
     rng = random.Random(seed)
@@ -725,3 +740,17 @@ def test_n_u_charges_its_arrays_to_the_table_budget(tables, monkeypatch):
     monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", budget)
     roomy = q_tables(B)
     assert n_u(B, roomy) == prim
+
+
+def test_n_u_bytes_is_its_traced_peak():
+    # N_U_BYTES is the traced peak of n_u's arrays per q, rounded up: the
+    # budget it charges is neither short of them nor a byte per q over
+    B = 10**6
+    fresh = q_tables(B)
+    tracemalloc.start()
+    try:
+        n_u(B, fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (counting.N_U_BYTES - 1) * (B + 1) <= peak <= counting.N_U_BYTES * (B + 1) + 64 * Q_BLOCK

@@ -141,10 +141,8 @@ def zeta_derivative(s: float) -> ZetaValue:
 
 
 # ----------------------------------------------------------------------
-# local factors as exact series in X = p^-s, Y = p^-w
+# local factors as exact polynomials in X = p^-s, Y = p^-w, to X-degree deg
 # ----------------------------------------------------------------------
-
-_XW = (1, 0)  # truncate on X-degree only; Y-degree is 4*deg(X) + O(1) by construction
 
 _LOCAL_DEG_CAP = 200
 
@@ -170,10 +168,9 @@ def _over_binomial(rows: list[dict], a: int, b: int) -> None:
 
 
 def _xw_series(rows: list[dict]) -> TruncSeries:
-    """The series in X, Y truncated at X-degree len(rows) - 1 whose X^nu
-    coefficients are rows[nu], with the zeros dropped.  Every term is within
-    the truncation, so none is filtered."""
-    out = TruncSeries(2, None, max_degree=len(rows) - 1, weights=_XW)
+    """The exact polynomial sum_nu X^nu rows[nu] in X, Y, of X-degree at
+    most len(rows) - 1, with the zeros dropped and no other filter pass."""
+    out = TruncSeries(2)
     out.coeffs = {(nu, mu): v for nu, row in enumerate(rows) for mu, v in row.items() if v}
     return out
 
@@ -186,7 +183,8 @@ def _check_local_args(p: int, deg: int) -> None:
 
 
 def local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
-    """F_p(s, w) from the definition:
+    """The part of F_p(s, w) of X-degree <= deg, as an exact polynomial,
+    from the definition:
 
         sum_{nu <= deg} X^nu sum_{0 <= mu <= 2 nu} Y^(2 mu) r4*(p^(2 mu)).
     """
@@ -196,7 +194,8 @@ def local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
 
 
 def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
-    """F_p(s, w) from the factored form: the three zeta-type factors
+    """The part of F_p(s, w) of X-degree <= deg, as an exact polynomial,
+    from the factored form: the three zeta-type factors
 
         prod_{0<=j<=2} (1 - p^(2j) X Y^(2j))^-1
 

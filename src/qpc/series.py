@@ -1,14 +1,9 @@
 """Exact multivariate polynomials and truncated power series.
 
 Coefficients are Python ints or Fractions (never floats).  A series is a
-dict from exponent tuples to coefficients, plus a truncation rule: a
-weight per variable and a maximum weighted degree.  max_degree None means
+dict from exponent tuples to coefficients, plus a truncation rule: every
+term of total degree above max_degree is dropped.  max_degree None means
 no truncation, i.e. an exact polynomial.
-
-The weighting covers both uses in this package: total-degree truncation
-for the trivariate identity checks (weights all 1) and X-degree truncation
-for Euler-factor series in X = p^-s, Y = p^-w (weights (1, 0): the Y-degree
-of X^k terms is bounded by construction).
 """
 
 from __future__ import annotations
@@ -20,47 +15,39 @@ from fractions import Fraction
 
 
 class TruncSeries:
-    __slots__ = ("nvars", "weights", "max_degree", "coeffs")
+    __slots__ = ("nvars", "max_degree", "coeffs")
 
-    def __init__(self, nvars, coeffs=None, max_degree=None, weights=None):
+    def __init__(self, nvars, coeffs=None, max_degree=None):
         self.nvars = nvars
-        self.weights = tuple(weights) if weights is not None else (1,) * nvars
-        if len(self.weights) != nvars:
-            raise ValueError("one weight per variable")
         self.max_degree = max_degree
         top = math.inf if max_degree is None else max_degree
-        w, coeffs = self.weights, coeffs or {}
-        self.coeffs = {e: c for e, c in coeffs.items() if c and sum(map(operator.mul, w, e)) <= top}
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c and sum(e) <= top}
 
     # -- construction helpers ------------------------------------------
 
     @classmethod
-    def constant(cls, value, nvars, max_degree=None, weights=None):
-        out = cls(nvars, None, max_degree, weights)
+    def constant(cls, value, nvars, max_degree=None):
+        out = cls(nvars, None, max_degree)
         if value:
             out.coeffs[(0,) * nvars] = value
         return out
 
     @classmethod
-    def monomial(cls, coef, exps, max_degree=None, weights=None):
-        return cls(len(exps), {tuple(exps): coef}, max_degree, weights)
+    def monomial(cls, coef, exps, max_degree=None):
+        return cls(len(exps), {tuple(exps): coef}, max_degree)
 
     def _like(self) -> "TruncSeries":
-        return TruncSeries(self.nvars, None, self.max_degree, self.weights)
+        return TruncSeries(self.nvars, None, self.max_degree)
 
     def _compatible(self, other: "TruncSeries") -> None:
-        if (
-            self.nvars != other.nvars
-            or self.weights != other.weights
-            or self.max_degree != other.max_degree
-        ):
+        if self.nvars != other.nvars or self.max_degree != other.max_degree:
             raise ValueError("series have different variable/truncation profiles")
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(other, self.nvars, self.max_degree, self.weights)
+            other = TruncSeries.constant(other, self.nvars, self.max_degree)
         self._compatible(other)
         out = self._like()
         out.coeffs = dict(self.coeffs)
@@ -81,7 +68,7 @@ class TruncSeries:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(other, self.nvars, self.max_degree, self.weights)
+            other = TruncSeries.constant(other, self.nvars, self.max_degree)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -101,13 +88,13 @@ class TruncSeries:
         if len(a_items) > len(b_items):
             a_items, b_items = b_items, a_items
         # each term of the smaller operand meets only the terms of the larger,
-        # sorted by weighted degree, whose products stay within the truncation
+        # sorted by total degree, whose products stay within the truncation
         top = math.inf if self.max_degree is None else self.max_degree
-        w, add = self.weights, operator.add
-        b_items.sort(key=lambda t: sum(map(operator.mul, w, t[0])))
-        b_degs = [sum(map(operator.mul, w, e)) for e, _ in b_items]
+        add = operator.add
+        b_items.sort(key=lambda t: sum(t[0]))
+        b_degs = [sum(e) for e, _ in b_items]
         for e1, c1 in a_items:
-            for e2, c2 in b_items[: bisect_right(b_degs, top - sum(map(operator.mul, w, e1)))]:
+            for e2, c2 in b_items[: bisect_right(b_degs, top - sum(e1))]:
                 exps = tuple(map(add, e1, e2))
                 new = acc.get(exps, 0) + c1 * c2
                 if new:
@@ -121,7 +108,7 @@ class TruncSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported; use inverse()")
-        out = TruncSeries.constant(1, self.nvars, self.max_degree, self.weights)
+        out = TruncSeries.constant(1, self.nvars, self.max_degree)
         base = self
         while n:
             if n & 1:
@@ -133,13 +120,12 @@ class TruncSeries:
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse up to the truncation degree.
 
-        Requires a nonzero constant term c0, truncation enabled, and every
-        non-constant monomial of positive weighted degree.  The inverse b of
-        a = self solves a b = 1 term by term: b_0 = 1/c0 and, for e != 0,
-        b_e = -(1/c0) sum_{t != 0} a_t b_(e-t).  The b_e are finished in
-        ascending weighted degree, and each finished b_e is pushed at once,
-        as a_t b_e, into the sum of every e + t within the truncation, so
-        no series product is taken.
+        Requires a nonzero constant term c0 and truncation enabled.  The
+        inverse b of a = self solves a b = 1 term by term: b_0 = 1/c0 and,
+        for e != 0, b_e = -(1/c0) sum_{t != 0} a_t b_(e-t).  The b_e are
+        finished in ascending total degree, and each finished b_e is pushed
+        at once, as a_t b_e, into the sum of every e + t within the
+        truncation, so no series product is taken.
         """
         if self.max_degree is None:
             raise ValueError("inverse is only defined for truncated series")
@@ -147,19 +133,13 @@ class TruncSeries:
         c0 = self.coeffs.get(zero, 0)
         if not c0:
             raise ZeroDivisionError("series has zero constant term")
-        w, add = self.weights, operator.add
-        terms = []
-        for exps, c in self.coeffs.items():
-            if exps != zero:
-                degree = sum(map(operator.mul, w, exps))
-                if degree < 1:
-                    raise ValueError("non-constant term of weighted degree 0; inverse diverges")
-                terms.append((degree, exps, c))
+        add = operator.add
+        terms = [(sum(exps), exps, c) for exps, c in self.coeffs.items() if exps != zero]
         terms.sort(key=operator.itemgetter(0))
         inv_c0 = Fraction(1, c0) if not (c0 == 1 or c0 == -1) else (1 if c0 == 1 else -1)
         out = self._like()
         top = self.max_degree
-        # pending[d][e] = sum_t a_t b_(e-t) so far, for e of weighted degree
+        # pending[d][e] = sum_t a_t b_(e-t) so far, for e of total degree
         # d; -1 at e = 0 gives b_0 = 1/c0
         pending = {0: {zero: -1}}
         while pending:
@@ -181,7 +161,7 @@ class TruncSeries:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(other, self.nvars, self.max_degree, self.weights)
+            other = TruncSeries.constant(other, self.nvars, self.max_degree)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         if self.nvars != other.nvars:
@@ -241,6 +221,3 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return 0

@@ -122,7 +122,7 @@ def square_divisor_weights(factors):
 def set_zero(f, var):
     """f with 0 put for one variable: the terms free of it."""
     return TruncSeries(f.nvars, {e: c for e, c in f.coeffs.items() if not e[var]},
-                       f.max_degree, f.weights)
+                       f.max_degree)
 
 
 def geometric_inverse(f):
@@ -134,8 +134,8 @@ def geometric_inverse(f):
     inv_c0 = Fraction(1, c0) if not (c0 == 1 or c0 == -1) else (1 if c0 == 1 else -1)
     u = -(f * inv_c0)
     u.coeffs.pop(zero, None)
-    out = TruncSeries.constant(1, f.nvars, f.max_degree, f.weights)
-    term = TruncSeries.constant(1, f.nvars, f.max_degree, f.weights)
+    out = TruncSeries.constant(1, f.nvars, f.max_degree)
+    term = TruncSeries.constant(1, f.nvars, f.max_degree)
     for _ in range(f.max_degree):
         term = term * u
         if not term.coeffs:
@@ -162,10 +162,11 @@ def r4_star_divisor_oracle(d_factors):
     return sum(l for l in divisors_from_factors(d_factors) if l % 4 != 0)
 
 
-def xw_rows(f):
-    """The X-degree rows of a series in X, Y, as the local-factor binomial
-    steps take them: row nu maps each Y-exponent to its coefficient of X^nu."""
-    rows = [{} for _ in range(f.max_degree + 1)]
+def xw_rows(f, deg):
+    """The X-degree rows 0..deg of a polynomial in X, Y of X-degree <= deg,
+    as the local-factor binomial steps take them: row nu maps each
+    Y-exponent to its coefficient of X^nu."""
+    rows = [{} for _ in range(deg + 1)]
     for (nu, mu), v in f.coeffs.items():
         rows[nu][mu] = v
     return rows

@@ -517,9 +517,9 @@ class TestVerifySuitesEndToEnd:
         def skewed(p, deg=30):
             if p != bad:
                 return closed_form(p, deg)
-            bump = TruncSeries.monomial(1, (1, 2), max_degree=deg, weights=(1, 0))
-            # the binomial steps act on X-degree rows: series to rows and back
-            rows = xw_rows(bump)
+            bump = TruncSeries.monomial(1, (1, 2))
+            # the binomial steps act on X-degree rows: polynomial to rows and back
+            rows = xw_rows(bump, deg)
             for a, b in ((4, 2), (16, 4)) if p == 2 else ((p * p, 2),):
                 dirichlet._times_binomial(rows, a, b)
             for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
@@ -533,6 +533,40 @@ class TestVerifySuitesEndToEnd:
             f"FAIL local_factor p={bad} deg=30"
         ]
         assert sum(line.startswith("PASS") for line in lines) == 24
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_formal_suite_fails_on_a_missing_numerator_term(self, bad, monkeypatch, capsys):
+        # one identity's right side loses its last numerator monomial; the
+        # other identity still holds
+        monomials, binomials = getattr(dirichlet, f"_RHS_{bad}")
+        monkeypatch.setattr(dirichlet, f"_RHS_{bad}", (monomials[:-1], binomials))
+        assert cli.main(["verify", "--suite", "formal"]) == cli.EXIT_CHECK_FAILED
+        status = {bad: "FAIL", 3 - bad: "PASS"}
+        assert capsys.readouterr().out.splitlines() == [
+            f"{status[k]} formal_identity_{k} series+cross-multiplied" for k in (1, 2)
+        ]
+
+    def test_global_suite_fails_on_a_wrong_factor_at_2(self, monkeypatch, capsys):
+        # G_2 one part in 10^6 too large moves both residuals far past the
+        # default tolerance
+        g2 = dirichlet.g_factor_2
+        monkeypatch.setattr(dirichlet, "g_factor_2", lambda s, w: g2(s, w) * (1 + 1e-6))
+        assert cli.main(["verify", "--suite", "global"]) == cli.EXIT_CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines] == [
+            ["FAIL", "global_series", "s=6"], ["FAIL", "global_series", "s=7"]
+        ]
+        for line in lines:
+            assert 5e-7 < float(line.rsplit("residual=", 1)[1]) < 2e-6, line
+
+    def test_oracle_suite_fails_on_a_wrong_brute_force_count(self, monkeypatch, capsys):
+        brute = counting.brute_force_star
+        monkeypatch.setattr(
+            counting, "brute_force_star", lambda B: brute(B) + (32 if B == 17 else 0)
+        )
+        assert cli.main(["verify", "--suite", "oracle"]) == cli.EXIT_CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{'FAIL' if B == 17 else 'PASS'} oracle B={B}" for B in range(41)]
 
     def test_table_budget_exit_2(self, monkeypatch, capsys):
         # a budget with room for the q-tables of N*(5000) but not for the

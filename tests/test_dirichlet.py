@@ -22,7 +22,6 @@ from conftest import r4_star, set_zero, xw_rows, zeta_star
 from qpc.dirichlet import (
     _BERNOULLI,
     _EM_K,
-    _XW,
     _check_convergence_domain,
     _check_local_args,
     _em_terms,
@@ -128,22 +127,18 @@ class TestZetaStar:
 class TestLocalFactors:
     def test_definition_p3_deg1(self):
         got = local_factor_definition(3, 1)
-        want = TruncSeries(
-            2, {(0, 0): 1, (1, 0): 1, (1, 2): 13, (1, 4): 121}, max_degree=1, weights=(1, 0)
-        )
+        want = TruncSeries(2, {(0, 0): 1, (1, 0): 1, (1, 2): 13, (1, 4): 121})
         assert got == want
 
     def test_definition_p2_deg1(self):
         got = local_factor_definition(2, 1)
-        want = TruncSeries(
-            2, {(0, 0): 1, (1, 0): 1, (1, 2): 3, (1, 4): 3}, max_degree=1, weights=(1, 0)
-        )
+        want = TruncSeries(2, {(0, 0): 1, (1, 0): 1, (1, 2): 3, (1, 4): 3})
         assert got == want
 
     def test_deg0_is_one(self):
         for p in (2, 3, 11):
-            assert local_factor_definition(p, 0) == TruncSeries.constant(1, 2, 0, (1, 0))
-            assert local_factor_closed_form(p, 0) == TruncSeries.constant(1, 2, 0, (1, 0))
+            assert local_factor_definition(p, 0) == TruncSeries.constant(1, 2)
+            assert local_factor_closed_form(p, 0) == TruncSeries.constant(1, 2)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
     def test_closed_form_matches_definition_deg30(self, p):
@@ -172,62 +167,72 @@ class TestLocalFactors:
 
 
 def _random_xw_series(rng, deg):
-    """A random series in X, Y truncated at X-degree deg, with terms at every
-    X-degree and at least one exactly at deg."""
+    """A random polynomial in X, Y with terms drawn at every X-degree up to
+    deg, and at least one nonzero term at X-degree deg."""
     coeffs = {}
     for nu in range(deg + 1):
         for mu in rng.sample(range(4 * deg + 7), 3):
             coeffs[nu, mu] = rng.randint(-9, 9)
     coeffs[deg, rng.randrange(4 * deg + 7)] = rng.choice((-7, -1, 1, 5))
-    return TruncSeries(2, coeffs, max_degree=deg, weights=(1, 0))
+    return TruncSeries(2, coeffs)
 
 
-def _on_rows(step, f, a, b):
-    """A binomial step of the closed form applied to the series f, through
-    its rows and back."""
-    rows = xw_rows(f)
+def _on_rows(step, f, deg, a, b):
+    """A binomial step of the closed form applied to the polynomial f of
+    X-degree <= deg, through its rows and back."""
+    rows = xw_rows(f, deg)
     step(rows, a, b)
     return _xw_series(rows)
 
 
+def _x_cut(coeffs, deg):
+    """The polynomial in X, Y of the terms of coeffs of X-degree <= deg."""
+    return TruncSeries(2, {e: c for e, c in coeffs.items() if e[0] <= deg})
+
+
 class TestBinomialHelpers:
-    # the oracle is the dense route: a series product and TruncSeries.inverse
+    # the oracle is the dense route: an exact product with 1 - a X Y^b, or
+    # with sum_{k <= deg} (a X Y^b)^k, cut at X-degree deg
 
     @pytest.mark.parametrize("deg", [0, 1, 2, 6])
     def test_match_the_dense_route(self, deg):
         rng = random.Random(800 + deg)
-        one = TruncSeries.constant(1, 2, max_degree=deg, weights=(1, 0))
+        one = TruncSeries.constant(1, 2)
         for a in (1, -1, 3**2, 3**4, 97**2, 97**4):
             for b in (0, 2, 4):
-                binomial = one - TruncSeries.monomial(a, (1, b), max_degree=deg, weights=(1, 0))
+                step = TruncSeries.monomial(a, (1, b))
+                binomial = one - step
+                geometric = sum((step**k for k in range(1, deg + 1)), one)
                 for _ in range(3):
                     f = _random_xw_series(rng, deg)
+                    times = _x_cut((f * binomial).coeffs, deg)
+                    over = _x_cut((f * geometric).coeffs, deg)
                     for got, want in (
-                        (_on_rows(_times_binomial, f, a, b), f * binomial),
-                        (_on_rows(_over_binomial, f, a, b), f * binomial.inverse()),
+                        (_on_rows(_times_binomial, f, deg, a, b), times),
+                        (_on_rows(_over_binomial, f, deg, a, b), over),
                     ):
                         assert got == want, (a, b)
                         # no stored zero and no missing term
                         assert got.coeffs == want.coeffs, (a, b)
-                        assert (got.max_degree, got.weights) == (deg, (1, 0))
+                        assert got.max_degree is None
 
 
 # The local factors as they were built before the closed form kept X-degree
 # rows: each binomial step rebuilt a TruncSeries, whose constructor dropped
-# the zeros and the terms past the truncation.  Kept verbatim as the oracle
-# that the row-based build must match coefficient for coefficient.
-def reference_times_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
+# the zeros, and the terms of X-degree > deg were cut.  Kept verbatim as the
+# oracle that the row-based build must match coefficient for coefficient.
+def reference_times_binomial(f: TruncSeries, a: int, b: int, deg: int) -> TruncSeries:
     """f * (1 - a X Y^b) in one pass: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)]."""
     c = dict(f.coeffs)
     for (nu, mu), v in f.coeffs.items():
         c[nu + 1, mu + b] = c.get((nu + 1, mu + b), 0) - a * v
-    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+    return _x_cut(c, deg)
 
 
-def reference_over_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
+def reference_over_binomial(f: TruncSeries, a: int, b: int, deg: int) -> TruncSeries:
     """f / (1 - a X Y^b) by the recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)],
     taken in ascending X-degree."""
-    rows = [{} for _ in range(f.max_degree + 1)]
+    rows = [{} for _ in range(deg + 1)]
     for (nu, mu), v in f.coeffs.items():
         rows[nu][mu] = v
     for nu in range(1, len(rows)):
@@ -235,7 +240,7 @@ def reference_over_binomial(f: TruncSeries, a: int, b: int) -> TruncSeries:
         for mu, v in rows[nu - 1].items():
             row[mu + b] = row.get(mu + b, 0) + a * v
     c = {(nu, mu): v for nu, row in enumerate(rows) for mu, v in row.items()}
-    return TruncSeries(2, c, max_degree=f.max_degree, weights=_XW)
+    return _x_cut(c, deg)
 
 
 def reference_local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
@@ -248,7 +253,7 @@ def reference_local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
         for mu in range(2 * nu + 1):
             key = (nu, 2 * mu)
             coeffs[key] = coeffs.get(key, 0) + r4s_cache[mu]
-    return TruncSeries(2, coeffs, max_degree=deg, weights=_XW)
+    return _x_cut(coeffs, deg)
 
 
 def reference_local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
@@ -259,12 +264,12 @@ def reference_local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
     else:
         numerator = {(0, 0): 1, (1, 2): p * p + p + 1, (1, 4): p**3 + p * p + p, (2, 6): p**3}
         times = ((p * p, 2),)
-    f = TruncSeries(2, numerator, max_degree=deg, weights=_XW)
+    f = _x_cut(numerator, deg)
     for a, b in times:
-        f = reference_times_binomial(f, a, b)
+        f = reference_times_binomial(f, a, b, deg)
     # over G's 1 - X Y^4, then the zeta-type factors j = 0, 1, 2
     for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
-        f = reference_over_binomial(f, a, b)
+        f = reference_over_binomial(f, a, b, deg)
     return f
 
 
@@ -285,7 +290,7 @@ class TestLocalFactorsMatchReference:
             (local_factor_definition(p, deg), reference_local_factor_definition(p, deg)),
         ):
             assert got.coeffs == want.coeffs, (p, deg)
-            assert (got.nvars, got.max_degree, got.weights) == (2, deg, (1, 0))
+            assert (got.nvars, got.max_degree) == (2, None)
             assert all(got.coeffs.values()), (p, deg)
 
 

@@ -84,19 +84,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    bounds = args.bounds
-    if not bounds:
-        _emit_records([], args)
-        return EXIT_OK
-    top = max(bounds)
+    top = max(args.bounds, default=0)
     # refused before it is built when N_U's arrays would not fit beside it
     spare = counting.N_U_BYTES * (top + 1) if args.kind == "N_u" else 0
     tables = arith.q_tables(top, spare)
     poly = asymptotics.p_coefficients()
-    records = asymptotics.convergence_table(
-        args.kind, bounds, tables, poly, args.variant
-    )
-    _emit_records(records, args)
+    _emit_records(asymptotics.convergence_table(args.kind, args.bounds, tables, poly), args)
     return EXIT_OK
 
 
@@ -159,9 +152,9 @@ def _suite_telescope(args):
         except ArithmeticError:
             checks.append((f"telescope B={B}", False, "undecided"))
             continue
-        checks.append(
-            (f"telescope B={B}", rep.lower_ok and rep.partition_ok, f"k0={rep.k0}")
-        )
+        lower, upper = rep.lower_bound_sum / rep.t_value, rep.upper_bound_sum / rep.t_value
+        detail = f"k0={rep.k0} lower/T={lower:.4f} upper/T={upper:.4f}"
+        checks.append((f"telescope B={B}", rep.lower_ok and rep.partition_ok, detail))
     return checks
 
 
@@ -302,9 +295,8 @@ def build_parser() -> _Parser:
     p_count.set_defaults(func=cmd_count)
 
     p_table = sub.add_parser("table", help="exact counts vs. predicted main terms")
-    p_table.add_argument("--kind", choices=("S", "T", "N_star", "N_u"), required=True)
+    p_table.add_argument("--kind", choices=tuple(asymptotics.TABLE_KINDS), required=True)
     p_table.add_argument("--bounds", type=_bounds_list, required=True)
-    p_table.add_argument("--variant", choices=("paper", "chain"), default="chain")
     _add_record_flags(p_table)
     p_table.set_defaults(func=cmd_table)
 

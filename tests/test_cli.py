@@ -96,17 +96,6 @@ class TestTable:
     def test_malformed_bounds_exit_1(self):
         assert run_cli("table", "--kind", "T", "--bounds", "10,x").returncode == 1
 
-    def test_variants_emitted(self):
-        paper = run_cli(
-            "table", "--kind", "N_star", "--bounds", "100", "--variant", "paper", "--no-timing",
-        ).stdout
-        chain = run_cli(
-            "table", "--kind", "N_star", "--bounds", "100", "--variant", "chain", "--no-timing",
-        ).stdout
-        p_pred = float(paper.splitlines()[1].split(",")[3])
-        c_pred = float(chain.splitlines()[1].split(",")[3])
-        assert c_pred / p_pred == pytest.approx(4.0 / 3.0, abs=1e-12)
-
 
 class TestVerify:
     def test_formal_suite_passes(self):
@@ -216,23 +205,27 @@ def _parser_flags():
 
 
 class TestFlags:
+    # Each case names itself, so adding or removing one renames no other.
+    # The `<command>-flag<n>` ids are the names these cases have always run
+    # under; later cases take `<command>-<flag>` ids.
     @pytest.mark.parametrize(
         "command,flag",
         [
-            ("count", ["--prime-limit", "5000"]),
-            ("count", ["--tolerance", "1e-6"]),
-            ("table", ["--tolerance", "1e-6"]),
-            ("verify", ["--format", "json"]),
-            ("verify", ["--sieve-limit", "100"]),
-            ("verify", ["--prime-limit", "5000"]),
-            ("verify", ["--no-timing"]),
-            ("constant", ["--sieve-limit", "100"]),
-            ("constant", ["--tolerance", "1e-6"]),
-            ("constant", ["--no-timing"]),
-            ("constant", ["--threads", "1"]),
-            ("table", ["--prime-limit", "5000"]),
-            ("count", ["--sieve-limit", "100"]),
-            ("table", ["--sieve-limit", "100"]),
+            pytest.param("count", ["--prime-limit", "5000"], id="count-flag0"),
+            pytest.param("count", ["--tolerance", "1e-6"], id="count-flag1"),
+            pytest.param("table", ["--tolerance", "1e-6"], id="table-flag2"),
+            pytest.param("verify", ["--format", "json"], id="verify-flag3"),
+            pytest.param("verify", ["--sieve-limit", "100"], id="verify-flag4"),
+            pytest.param("verify", ["--prime-limit", "5000"], id="verify-flag5"),
+            pytest.param("verify", ["--no-timing"], id="verify-flag6"),
+            pytest.param("constant", ["--sieve-limit", "100"], id="constant-flag7"),
+            pytest.param("constant", ["--tolerance", "1e-6"], id="constant-flag8"),
+            pytest.param("constant", ["--no-timing"], id="constant-flag9"),
+            pytest.param("constant", ["--threads", "1"], id="constant-flag10"),
+            pytest.param("table", ["--prime-limit", "5000"], id="table-flag11"),
+            pytest.param("count", ["--sieve-limit", "100"], id="count-flag12"),
+            pytest.param("table", ["--sieve-limit", "100"], id="table-flag13"),
+            pytest.param("table", ["--variant", "paper"], id="table-variant-paper"),
         ],
     )
     def test_flag_the_command_does_not_read_exit_1(self, command, flag, capsys):
@@ -246,26 +239,25 @@ class TestFlags:
     @pytest.mark.parametrize(
         "command,flag",
         [
-            ("count", ["--kind", "star"]),
-            ("count", ["--B", "5"]),
-            ("count", ["--projective"]),
-            ("count", ["--format", "json"]),
-            ("count", ["--no-timing"]),
-            ("count", ["--B", "1000000000"]),  # no flag caps the bound
-            ("count", ["--threads", "2"]),
-            ("table", ["--kind", "S"]),
-            ("table", ["--bounds", "10,20"]),
-            ("table", ["--variant", "paper"]),
-            ("table", ["--format", "json"]),
-            ("table", ["--no-timing"]),
-            ("table", ["--bounds", "10,20000000"]),
-            ("table", ["--bounds", ""]),
-            ("table", ["--threads", "2"]),
-            ("verify", ["--suite", "local"]),
-            ("verify", ["--tolerance", "1e-6"]),
-            ("verify", ["--threads", "2"]),
-            ("constant", ["--prime-limit", "5000"]),
-            ("constant", ["--format", "json"]),
+            pytest.param("count", ["--kind", "star"], id="count-flag0"),
+            pytest.param("count", ["--B", "5"], id="count-flag1"),
+            pytest.param("count", ["--projective"], id="count-flag2"),
+            pytest.param("count", ["--format", "json"], id="count-flag3"),
+            pytest.param("count", ["--no-timing"], id="count-flag4"),
+            pytest.param("count", ["--B", "1000000000"], id="count-flag5"),  # no flag caps the bound
+            pytest.param("count", ["--threads", "2"], id="count-flag6"),
+            pytest.param("table", ["--kind", "S"], id="table-flag7"),
+            pytest.param("table", ["--bounds", "10,20"], id="table-flag8"),
+            pytest.param("table", ["--format", "json"], id="table-flag10"),
+            pytest.param("table", ["--no-timing"], id="table-flag11"),
+            pytest.param("table", ["--bounds", "10,20000000"], id="table-flag12"),
+            pytest.param("table", ["--bounds", ""], id="table-flag13"),
+            pytest.param("table", ["--threads", "2"], id="table-flag14"),
+            pytest.param("verify", ["--suite", "local"], id="verify-flag15"),
+            pytest.param("verify", ["--tolerance", "1e-6"], id="verify-flag16"),
+            pytest.param("verify", ["--threads", "2"], id="verify-flag17"),
+            pytest.param("constant", ["--prime-limit", "5000"], id="constant-flag18"),
+            pytest.param("constant", ["--format", "json"], id="constant-flag19"),
         ],
     )
     def test_flag_the_command_reads_is_parsed(self, command, flag):
@@ -306,7 +298,7 @@ class TestFlags:
         }
         parsed = _parser_flags()
         assert documented == parsed
-        assert sum(len(flags) for flags in parsed.values()) == 17
+        assert sum(len(flags) for flags in parsed.values()) == 16
 
     def test_readme_states_the_budgets_reach(self):
         # the largest N* and N_U bounds the README states are the ones the
@@ -421,11 +413,12 @@ class TestGolden:
             "PASS global_series s=6 w=2 residual=1.998e-15\n"
             "PASS global_series s=7 w=3 residual=1.110e-15\n"
         ),
-        # k0 and every shell edge come from the interval thresholds
+        # k0 and every shell edge come from the interval thresholds; the
+        # ratios are the exact lower and upper shell sums over T(B)
         ("verify", "--suite", "telescope"): (
-            "PASS telescope B=10 k0=5\n"
-            "PASS telescope B=100 k0=19\n"
-            "PASS telescope B=1000 k0=38\n"
+            "PASS telescope B=10 k0=5 lower/T=0.5316 upper/T=6.5949\n"
+            "PASS telescope B=100 k0=19 lower/T=0.6435 upper/T=2.5833\n"
+            "PASS telescope B=1000 k0=38 lower/T=0.7906 upper/T=1.8122\n"
         ),
     }
 

@@ -84,8 +84,13 @@ def q_tables(top: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Q_TABLE_CAP or the Q_TABLE_BYTES * (top + 1) bytes of the tables and the
     spare bytes the caller needs beside them exceed DEFAULT_MEMORY_BUDGET.
     """
+    if top >= Q_TABLE_CAP:
+        raise ResourceError(
+            f"q-tables up to {top} reach Q_TABLE_CAP = {Q_TABLE_CAP}, below which "
+            "g(q) < 7 q^2 < 2^55 fits int64 and kappa(q) <= q fits int32"
+        )
     need = Q_TABLE_BYTES * (top + 1)
-    if top >= Q_TABLE_CAP or need + spare > DEFAULT_MEMORY_BUDGET:
+    if need + spare > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
             f"q-tables up to {top} need {need} bytes beside "
             f"{spare} for the count; budget is {DEFAULT_MEMORY_BUDGET}"

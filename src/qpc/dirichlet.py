@@ -5,11 +5,11 @@ The generating function of the counts is
     F(s, w) = sum_n n^-s sum_{d | n^4, n^4/d square} d^-w r4*(d)
             = zeta(s) zeta(s+2w-2) zeta(s+4w-4) * G(s, w),
 
-where G is an Euler product whose local factors are verified here in two
-independent ways: straight from the definition (divisor sums of r4* on
-prime powers) and from the closed forms, as exact series in X = p^-s,
-Y = p^-w.  The two formal power-series identities behind the closed forms
-are checked both as truncated series and as exact polynomial identities.
+where G is an Euler product.  Each local factor F_p is built as an exact
+polynomial in X = p^-s, Y = p^-w two ways: from the definition (divisor
+sums of r4* on prime powers), and from the closed form, the right side of
+a formal power-series identity (_RHS_1 at z = p, or _RHS_2 at a = 3 for
+p = 2).  The identities are checked as truncated series and exactly.
 """
 
 from __future__ import annotations
@@ -147,17 +147,6 @@ def zeta_derivative(s: float) -> ZetaValue:
 _LOCAL_DEG_CAP = 200
 
 
-def _times_binomial(rows: list[dict], a: int, b: int) -> None:
-    """rows * (1 - a X Y^b) in place: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)],
-    taken in descending X-degree so that each row reads the one below it
-    unchanged.  Row nu holds the coefficients of X^nu, keyed by Y-exponent;
-    no row past the last is written, so the product stays truncated."""
-    for nu in range(len(rows) - 1, 0, -1):
-        row = rows[nu]
-        for mu, v in rows[nu - 1].items():
-            row[mu + b] = row.get(mu + b, 0) - a * v
-
-
 def _over_binomial(rows: list[dict], a: int, b: int) -> None:
     """rows / (1 - a X Y^b) in place, by the recurrence
     c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)] in ascending X-degree."""
@@ -187,40 +176,34 @@ def local_factor_definition(p: int, deg: int = 30) -> TruncSeries:
     from the definition:
 
         sum_{nu <= deg} X^nu sum_{0 <= mu <= 2 nu} Y^(2 mu) r4*(p^(2 mu)).
-    """
+
+    No r4* value is zero, so every term is stored."""
     _check_local_args(p, deg)
     r4s = [r4_star_p2b(p, mu) for mu in range(2 * deg + 1)]
-    return _xw_series([{2 * mu: r4s[mu] for mu in range(2 * nu + 1)} for nu in range(deg + 1)])
+    out = TruncSeries(2)
+    out.coeffs = {(nu, 2 * mu): r4s[mu] for nu in range(deg + 1) for mu in range(2 * nu + 1)}
+    return out
 
 
 def local_factor_closed_form(p: int, deg: int = 30) -> TruncSeries:
     """The part of F_p(s, w) of X-degree <= deg, as an exact polynomial,
-    from the factored form: the three zeta-type factors
+    from its closed form: the right side of formal identity 1 at z = p (odd
+    p), or of identity 2 at a = 3 (p = 2), with x = X and y = Y.
 
-        prod_{0<=j<=2} (1 - p^(2j) X Y^(2j))^-1
-
-    times the local correction G_p (odd p) or G_2.
-
-    The form is built as G's numerator times binomials 1 - a X Y^b, divided
-    by binomials, with no series inverse and no series product, on one dict
-    of Y-exponents per X-degree that becomes a TruncSeries once.  Multiplying
-    by a binomial moves each term once, and dividing by one is the
-    recurrence c[(nu, mu)] = f[(nu, mu)] + a c[(nu-1, mu-b)] in ascending
-    X-degree, so each step costs O(terms), not the O(terms^2) of a dense
-    inverse and product."""
+    That is G_p times the zeta-type factors prod_{0<=j<=2} (1 - p^(2j) X
+    Y^(2j))^-1, since G_p's factor 1 - p^2 X Y^2 cancels the one of j = 1,
+    and G_2's 1 - 4 X Y^2 and 1 - 16 X Y^4 those of j = 1 and 2.  The
+    numerator goes into one dict of Y-exponents per X-degree, and each
+    binomial of the denominator is divided out by _over_binomial, in
+    O(terms), with no series inverse and no series product."""
     _check_local_args(p, deg)
-    if p == 2:
-        numerator = [{0: 1}, {2: 3, 4: 2}]
-        times = ((4, 2), (16, 4))
-    else:
-        numerator = [{0: 1}, {2: p * p + p + 1, 4: p**3 + p * p + p}, {6: p**3}]
-        times = ((p * p, 2),)
-    rows = numerator[: deg + 1] + [{} for _ in range(deg + 1 - len(numerator))]
-    for a, b in times:
-        _times_binomial(rows, a, b)
-    # over G's 1 - X Y^4, then the zeta-type factors j = 0, 1, 2
-    for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
-        _over_binomial(rows, a, b)
+    (monomials, binomials), value = (_RHS_2, 3) if p == 2 else (_RHS_1, p)
+    rows = [{} for _ in range(deg + 1)]
+    for c, (nu, mu, k) in monomials:
+        if nu <= deg:
+            rows[nu][mu] = rows[nu].get(mu, 0) + c * value**k
+    for _, mu, k in binomials:
+        _over_binomial(rows, value**k, mu)
     return _xw_series(rows)
 
 
@@ -232,7 +215,8 @@ _IDENTITY_DEGREE = 40
 
 # The right sides as (numerator monomials (coef, exponents), denominator
 # binomials 1 - m by the exponents of m): identity 1 in (x, y, z), identity
-# 2 in (x, y, a), with numerator 1 + a x y^2 + (a - 1) x y^4.
+# 2 in (x, y, a), with numerator 1 + a x y^2 + (a - 1) x y^4.  The local
+# closed form reads them at z = p and at a = 3.
 _RHS_1 = (
     ((1, (0, 0, 0)), (1, (1, 2, 0)), (1, (1, 2, 1)), (1, (1, 2, 2)),
      (1, (1, 4, 1)), (1, (1, 4, 2)), (1, (1, 4, 3)), (1, (2, 6, 3))),

@@ -184,6 +184,33 @@ class TestQTables:
             for a, b in zip(tables, largest):
                 assert np.array_equal(a, b[: n + 1]), n
 
+    def test_every_entry_to_1e5_matches_a_factoring_free_oracle(self):
+        # mu by sign flips over a boolean prime sieve; g(q) = r4*(q^2) =
+        # f(q) - 4 f(q/2) with f(q) = sigma(q^2) = (sigma_2 * mu^2 id)(q);
+        # kappa(q) as the one k with k | q, q | k^2 and k^2/q squarefree
+        n = 10**5
+        prime = np.ones(n + 1, dtype=bool)
+        prime[:2] = False
+        for p in range(2, math.isqrt(n) + 1):
+            if prime[p]:
+                prime[p * p :: p] = False
+        mu = np.ones(n + 1, dtype=np.int64)
+        for p in np.flatnonzero(prime).tolist():
+            mu[::p] *= -1
+            mu[:: p * p] = 0
+        sigma2 = np.zeros(n + 1, dtype=np.int64)
+        for d in range(1, n + 1):
+            sigma2[d::d] += d * d
+        f = np.zeros(n + 1, dtype=np.int64)
+        for e in np.flatnonzero(mu).tolist():  # the flips zeroed mu[0]
+            f[e::e] += e * sigma2[1 : n // e + 1]
+        f[::2] -= 4 * f[: n // 2 + 1]
+        g, k, m = q_tables(n)
+        assert np.array_equal(m, mu) and np.array_equal(g, f) and k[0] == 0
+        q, kappa = np.arange(1, n + 1), k[1:].astype(np.int64)
+        assert not (q % kappa).any() and not (kappa * kappa % q).any()
+        assert mu[kappa * kappa // q].all()
+
     def test_build_stops_at_the_budget(self, monkeypatch):
         monkeypatch.setattr(arith, "DEFAULT_MEMORY_BUDGET", Q_TABLE_BYTES * 1001)
         assert len(q_tables(1000)[0]) == 1001
@@ -203,7 +230,9 @@ class TestQTables:
         # overflow proofs of the build and of the counts assume
         monkeypatch.setattr(arith, "Q_TABLE_CAP", 1000)
         assert len(q_tables(999)[0]) == 1000
-        with pytest.raises(ResourceError):
+        # refused before anything is built, as at the budget
+        monkeypatch.setattr(arith, "_prime_plan", None)
+        with pytest.raises(ResourceError, match="reach Q_TABLE_CAP = 1000, below which"):
             q_tables(1000)
 
     def test_build_holds_one_set_of_tables(self):

@@ -504,19 +504,17 @@ class TestVerifySuitesEndToEnd:
     def test_local_suite_fails_on_a_numerator_off_by_one(self, bad, monkeypatch, capsys):
         # G_p's X Y^2 numerator coefficient one too large at p = bad.  The
         # numerator enters linearly, so the sabotaged form is the true one
-        # plus X Y^2 times the same binomial factors.
+        # plus X Y^2 over the same identity's binomials at the same value.
         closed_form = dirichlet.local_factor_closed_form
 
         def skewed(p, deg=30):
             if p != bad:
                 return closed_form(p, deg)
-            bump = TruncSeries.monomial(1, (1, 2))
+            (_, binomials), value = (dirichlet._RHS_2, 3) if p == 2 else (dirichlet._RHS_1, p)
             # the binomial steps act on X-degree rows: polynomial to rows and back
-            rows = xw_rows(bump, deg)
-            for a, b in ((4, 2), (16, 4)) if p == 2 else ((p * p, 2),):
-                dirichlet._times_binomial(rows, a, b)
-            for a, b in ((1, 4), (1, 0), (p * p, 2), (p**4, 4)):
-                dirichlet._over_binomial(rows, a, b)
+            rows = xw_rows(TruncSeries.monomial(1, (1, 2)), deg)
+            for _, mu, k in binomials:
+                dirichlet._over_binomial(rows, value**k, mu)
             return closed_form(p, deg) + dirichlet._xw_series(rows)
 
         monkeypatch.setattr(dirichlet, "local_factor_closed_form", skewed)
@@ -537,6 +535,25 @@ class TestVerifySuitesEndToEnd:
         status = {bad: "FAIL", 3 - bad: "PASS"}
         assert capsys.readouterr().out.splitlines() == [
             f"{status[k]} formal_identity_{k} series+cross-multiplied" for k in (1, 2)
+        ]
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_one_right_side_feeds_the_formal_and_the_local_suite(self, bad, monkeypatch, capsys):
+        # the constant term of one identity's right side doubled: that
+        # identity fails, and so do the local factors read from it, the odd
+        # primes from identity 1 and p = 2 from identity 2
+        (constant, *monomials), binomials = getattr(dirichlet, f"_RHS_{bad}")
+        doubled = (2 * constant[0], constant[1])
+        monkeypatch.setattr(dirichlet, f"_RHS_{bad}", ((doubled, *monomials), binomials))
+        assert cli.main(["verify", "--suite", "formal"]) == cli.EXIT_CHECK_FAILED
+        status = {bad: "FAIL", 3 - bad: "PASS"}
+        assert capsys.readouterr().out.splitlines() == [
+            f"{status[k]} formal_identity_{k} series+cross-multiplied" for k in (1, 2)
+        ]
+        assert cli.main(["verify", "--suite", "local"]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.splitlines() == [
+            f"{status[1 if p > 2 else 2]} local_factor p={p} deg=30"
+            for p in arith.primes_up_to(100).tolist()
         ]
 
     def test_global_suite_fails_on_a_wrong_factor_at_2(self, monkeypatch, capsys):

@@ -27,7 +27,6 @@ from qpc.dirichlet import (
     _em_terms,
     _g_tail_log_bound,
     _over_binomial,
-    _times_binomial,
     _xw_series,
     g_factor_2,
     g_factor_odd,
@@ -177,11 +176,11 @@ def _random_xw_series(rng, deg):
     return TruncSeries(2, coeffs)
 
 
-def _on_rows(step, f, deg, a, b):
-    """A binomial step of the closed form applied to the polynomial f of
-    X-degree <= deg, through its rows and back."""
+def _on_rows(f, deg, a, b):
+    """The closed form's binomial step, f / (1 - a X Y^b) for the polynomial
+    f of X-degree <= deg, through its rows and back."""
     rows = xw_rows(f, deg)
-    step(rows, a, b)
+    _over_binomial(rows, a, b)
     return _xw_series(rows)
 
 
@@ -191,8 +190,8 @@ def _x_cut(coeffs, deg):
 
 
 class TestBinomialHelpers:
-    # the oracle is the dense route: an exact product with 1 - a X Y^b, or
-    # with sum_{k <= deg} (a X Y^b)^k, cut at X-degree deg
+    # the oracle is the dense route: an exact product with sum_{k <= deg}
+    # (a X Y^b)^k, cut at X-degree deg
 
     @pytest.mark.parametrize("deg", [0, 1, 2, 6])
     def test_match_the_dense_route(self, deg):
@@ -201,26 +200,24 @@ class TestBinomialHelpers:
         for a in (1, -1, 3**2, 3**4, 97**2, 97**4):
             for b in (0, 2, 4):
                 step = TruncSeries.monomial(a, (1, b))
-                binomial = one - step
                 geometric = sum((step**k for k in range(1, deg + 1)), one)
                 for _ in range(3):
                     f = _random_xw_series(rng, deg)
-                    times = _x_cut((f * binomial).coeffs, deg)
-                    over = _x_cut((f * geometric).coeffs, deg)
-                    for got, want in (
-                        (_on_rows(_times_binomial, f, deg, a, b), times),
-                        (_on_rows(_over_binomial, f, deg, a, b), over),
-                    ):
-                        assert got == want, (a, b)
-                        # no stored zero and no missing term
-                        assert got.coeffs == want.coeffs, (a, b)
-                        assert got.max_degree is None
+                    want = _x_cut((f * geometric).coeffs, deg)
+                    got = _on_rows(f, deg, a, b)
+                    assert got == want, (a, b)
+                    # no stored zero and no missing term
+                    assert got.coeffs == want.coeffs, (a, b)
+                    assert got.max_degree is None
 
 
 # The local factors as they were built before the closed form kept X-degree
 # rows: each binomial step rebuilt a TruncSeries, whose constructor dropped
 # the zeros, and the terms of X-degree > deg were cut.  Kept verbatim as the
 # oracle that the row-based build must match coefficient for coefficient.
+# The closed form here is G_p's numerator times G_p's binomials over the
+# zeta-type factors, so it also ties the closed form read from the formal
+# identities, where those binomials cancel, to F_p = G_p * (zeta factors).
 def reference_times_binomial(f: TruncSeries, a: int, b: int, deg: int) -> TruncSeries:
     """f * (1 - a X Y^b) in one pass: c[(nu, mu)] = f[(nu, mu)] - a f[(nu-1, mu-b)]."""
     c = dict(f.coeffs)
